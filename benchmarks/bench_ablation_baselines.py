@@ -11,7 +11,6 @@ dominates most of them.
 from __future__ import annotations
 
 from repro.allocation import (
-    AllocationEvaluator,
     dominates,
     first_fit_allocation,
     least_used_allocation,
@@ -19,18 +18,12 @@ from repro.allocation import (
     random_allocation,
 )
 from repro.analysis import format_table, write_csv
-from repro.topology import build_topology
+from repro.scenarios import build_scenario_evaluator
 
 
-def test_heuristic_baselines_never_beat_nsga2(benchmark, suite, results_dir, paper_setup):
+def test_heuristic_baselines_never_beat_nsga2(benchmark, suite, results_dir):
     """Every classical heuristic allocation is dominated by or on the GA front."""
-    task_graph, mapping_factory = paper_setup
-    architecture = build_topology(
-        "ring", 4, 4, wavelength_count=8, configuration=suite.configuration
-    )
-    evaluator = AllocationEvaluator(
-        architecture, task_graph, mapping_factory(architecture), suite.configuration
-    )
+    evaluator = build_scenario_evaluator(suite.scenario_for(8))
 
     def run_heuristics():
         solutions = []

@@ -13,22 +13,22 @@ the execution-time axis is untouched (the timing model does not depend on Q).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import format_table, write_csv
-from repro.exploration import sweep_quality_factor
+from repro.scenarios import Scenario, execute_scenario
 
 QUALITY_FACTORS = (19200.0, 9600.0, 2400.0)
 
 
-def test_quality_factor_sweep(benchmark, results_dir, paper_setup, small_ga):
+def test_quality_factor_sweep(benchmark, results_dir, small_ga):
     """Lower Q (blunter rings) => worse best-case BER, unchanged best time."""
-    task_graph, mapping_factory = paper_setup
+    base = Scenario(name="quality-factor", wavelength_count=8, genetic=small_ga)
+    scenarios = {
+        quality_factor: base.derive(overrides={"photonic": {"quality_factor": quality_factor}})
+        for quality_factor in QUALITY_FACTORS
+    }
 
     records = benchmark.pedantic(
-        sweep_quality_factor,
-        args=(task_graph, mapping_factory, QUALITY_FACTORS),
-        kwargs={"wavelength_count": 8, "genetic_parameters": small_ga},
+        lambda: {q: execute_scenario(scenario).summary() for q, scenario in scenarios.items()},
         rounds=1,
         iterations=1,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis import format_table, write_csv
 from repro.config import GeneticParameters
-from repro.exploration import sweep_genetic_parameters
+from repro.scenarios import Scenario, execute_scenario
 
 BUDGETS = (
     GeneticParameters(population_size=16, generations=8, seed=11),
@@ -21,17 +21,17 @@ BUDGETS = (
 )
 
 
-def test_ga_budget_sweep(benchmark, results_dir, paper_setup):
+def test_ga_budget_sweep(benchmark, results_dir):
     """Bigger GA budgets explore more and never lose the anchors."""
-    task_graph, mapping_factory = paper_setup
+    base = Scenario(name="ga-budget", wavelength_count=8)
+    scenarios = [base.derive(genetic=parameters) for parameters in BUDGETS]
 
-    records = benchmark.pedantic(
-        sweep_genetic_parameters,
-        args=(task_graph, mapping_factory, BUDGETS),
-        kwargs={"wavelength_count": 8},
+    outcomes = benchmark.pedantic(
+        lambda: [execute_scenario(scenario) for scenario in scenarios],
         rounds=1,
         iterations=1,
     )
+    records = [outcome.summary() for outcome in outcomes]
 
     rows = []
     for parameters, record in zip(BUDGETS, records):
@@ -39,7 +39,7 @@ def test_ga_budget_sweep(benchmark, results_dir, paper_setup):
             {
                 "population": parameters.population_size,
                 "generations": parameters.generations,
-                "evaluations": record.result.nsga2.evaluations,
+                "evaluations": record.evaluations,
                 "valid_solutions": record.valid_solution_count,
                 "pareto_size": record.pareto_size,
                 "best_time_kcc": record.best_time_kcycles,
@@ -62,5 +62,5 @@ def test_ga_budget_sweep(benchmark, results_dir, paper_setup):
     assert best_times[-1] <= best_times[0] + 0.5
 
     # Every budget keeps the [1,...,1] energy anchor thanks to seeding + elitism.
-    for record in records:
-        assert record.result.best_by("energy").wavelength_counts == (1,) * 6
+    for outcome in outcomes:
+        assert outcome.result.best_by("energy").wavelength_counts == (1,) * 6

@@ -15,47 +15,40 @@ hypervolume is at least as large as the spread placements'.
 from __future__ import annotations
 
 from repro.analysis import format_table, hypervolume_2d, write_csv
-from repro.application import Mapping
-from repro.exploration import front_series, sweep_mappings
-from repro.topology import build_topology
+from repro.scenarios import Scenario, execute_scenario
 
 #: Hypervolume reference point: slightly worse than the worst observable point.
 REFERENCE = (45.0, 15.0)
 
 
-def test_mapping_exploration(benchmark, results_dir, paper_setup, small_ga, suite):
+def test_mapping_exploration(benchmark, results_dir, small_ga):
     """Compare Pareto fronts across task mappings (paper future work)."""
-    task_graph, mapping_factory = paper_setup
-    architecture = build_topology(
-        "ring", 4, 4, wavelength_count=8, configuration=suite.configuration
-    )
+    base = Scenario(name="mapping", wavelength_count=8, genetic=small_ga)
     candidates = {
-        "paper": mapping_factory(architecture),
-        "packed": Mapping.round_robin(task_graph, architecture, stride=1),
-        "spread": Mapping.round_robin(task_graph, architecture, stride=5),
-        "random": Mapping.random(task_graph, architecture, seed=13),
+        "paper": base,
+        "packed": base.derive(mapping="round_robin", mapping_options={"stride": 1}),
+        "spread": base.derive(mapping="round_robin", mapping_options={"stride": 5}),
+        "random": base.derive(mapping="random", mapping_options={"seed": 13}),
     }
 
-    records = benchmark.pedantic(
-        sweep_mappings,
-        args=(task_graph, list(candidates.values())),
-        kwargs={"wavelength_count": 8, "genetic_parameters": small_ga},
+    results = benchmark.pedantic(
+        lambda: [execute_scenario(scenario).result for scenario in candidates.values()],
         rounds=1,
         iterations=1,
     )
 
     rows = []
     hypervolumes = {}
-    for name, record in zip(candidates, records):
-        series = front_series(record, "time", "energy")
-        volume = hypervolume_2d(series, REFERENCE)
+    for name, result in zip(candidates, results):
+        volume = hypervolume_2d(result.front_series("time", "energy"), REFERENCE)
         hypervolumes[name] = volume
+        best_time, best_energy, _ = result.best_objective_values()
         rows.append(
             {
                 "mapping": name,
-                "pareto_size": record.pareto_size,
-                "best_time_kcc": record.best_time_kcycles,
-                "best_energy_fj": record.best_energy_fj,
+                "pareto_size": result.pareto_size,
+                "best_time_kcc": best_time,
+                "best_energy_fj": best_energy,
                 "hypervolume": volume,
             }
         )
@@ -65,7 +58,7 @@ def test_mapping_exploration(benchmark, results_dir, paper_setup, small_ga, suit
     write_csv(results_dir / "ext_mapping_exploration.csv", rows)
 
     # Every mapping produces a usable front.
-    assert all(record.pareto_size >= 1 for record in records)
+    assert all(result.pareto_size >= 1 for result in results)
     assert all(volume > 0.0 for volume in hypervolumes.values())
 
     # Packing communicating tasks next to each other is never worse than the

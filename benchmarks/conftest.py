@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters, OnocConfiguration
 from repro.paper import PaperExperimentSuite
 from repro.paper.parameters import paper_photonic_parameters
@@ -58,12 +57,6 @@ def suite(bench_configuration) -> PaperExperimentSuite:
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def paper_setup():
-    """(task graph, mapping factory) of the paper's virtual application."""
-    return paper_task_graph(), paper_mapping
 
 
 @pytest.fixture(scope="session")

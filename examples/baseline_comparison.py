@@ -15,24 +15,24 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    GeneticParameters,
-    RingOnocArchitecture,
-    WavelengthAllocator,
-    paper_mapping,
-    paper_task_graph,
+from repro import GeneticParameters, Scenario, execute_scenario
+from repro.allocation import (
+    dominates,
+    first_fit_allocation,
+    least_used_allocation,
+    most_used_allocation,
+    random_allocation,
 )
-from repro.allocation import dominates
 from repro.analysis import format_table
+from repro.scenarios import build_scenario_evaluator
 
 
 def main() -> None:
-    architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
-    task_graph = paper_task_graph()
-    mapping = paper_mapping(architecture)
-    allocator = WavelengthAllocator(architecture, task_graph, mapping)
-
-    result = allocator.explore(GeneticParameters(population_size=80, generations=50))
+    # The paper's application and mapping on the 4x4 ring with 8 wavelengths.
+    scenario = Scenario(
+        name="baselines", genetic=GeneticParameters(population_size=80, generations=50)
+    )
+    result = execute_scenario(scenario).result
     front = [
         solution.objective_tuple(("time", "energy", "ber"))
         for solution in result.pareto_solutions
@@ -41,11 +41,19 @@ def main() -> None:
           f"(from {result.valid_solution_count} valid allocations)")
     print()
 
+    # The heuristics run on the same evaluator; called directly (rather than
+    # as scenarios) so that invalid picks stay in the table.
+    evaluator = build_scenario_evaluator(scenario)
     rows = []
     dominated_count = 0
     total = 0
     for per_communication in (1, 2, 3):
-        baselines = allocator.baseline_solutions(per_communication)
+        baselines = {
+            "first_fit": first_fit_allocation(evaluator, per_communication),
+            "most_used": most_used_allocation(evaluator, per_communication),
+            "least_used": least_used_allocation(evaluator, per_communication),
+            "random": random_allocation(evaluator, per_communication, seed=2017),
+        }
         for name, solution in baselines.items():
             objectives = solution.objective_tuple(("time", "energy", "ber"))
             dominated = any(dominates(point, objectives) for point in front)

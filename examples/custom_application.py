@@ -19,15 +19,16 @@ Run it with::
 from __future__ import annotations
 
 from repro import (
+    AllocationEvaluator,
     GeneticParameters,
     Mapping,
     OnocSimulator,
     RingOnocArchitecture,
     TaskGraph,
-    WavelengthAllocator,
 )
 from repro.analysis import format_table
 from repro.models import LinkBudget
+from repro.scenarios import OptimizerParameters, create_optimizer
 
 
 def build_video_pipeline() -> TaskGraph:
@@ -83,8 +84,14 @@ def main() -> None:
           "(intra-communication crosstalk included)")
     print()
 
-    allocator = WavelengthAllocator(architecture, task_graph, mapping)
-    result = allocator.explore(GeneticParameters(population_size=60, generations=40))
+    # A hand-built task graph is not in the workload registry, so the search
+    # runs on an explicit evaluator through the same backend call that
+    # execute_scenario makes for registered workloads.
+    evaluator = AllocationEvaluator(architecture, task_graph, mapping)
+    parameters = OptimizerParameters(
+        genetic=GeneticParameters(population_size=60, generations=40)
+    )
+    result = create_optimizer("nsga2").run(evaluator, parameters)
     print(f"{result.valid_solution_count} valid allocations explored, "
           f"{result.pareto_size} on the Pareto front:")
     print(format_table(result.summary_rows()[:10]))

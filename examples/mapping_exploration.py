@@ -14,49 +14,41 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    GeneticParameters,
-    Mapping,
-    RingOnocArchitecture,
-    paper_mapping,
-    paper_task_graph,
-)
+from repro import GeneticParameters, Scenario, execute_scenario
 from repro.analysis import format_table, hypervolume_2d
-from repro.exploration import front_series, sweep_mappings
 
 
 def main() -> None:
-    architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
-    task_graph = paper_task_graph()
-
-    candidates = {
-        "paper": paper_mapping(architecture),
-        "packed (adjacent cores)": Mapping.round_robin(task_graph, architecture, stride=1),
-        "spread (stride 5)": Mapping.round_robin(task_graph, architecture, stride=5),
-        "random seed 1": Mapping.random(task_graph, architecture, seed=1),
-        "random seed 2": Mapping.random(task_graph, architecture, seed=2),
-    }
-
-    parameters = GeneticParameters(population_size=60, generations=40)
-    records = sweep_mappings(
-        task_graph,
-        list(candidates.values()),
-        wavelength_count=architecture.wavelength_count,
-        genetic_parameters=parameters,
+    # Mappings are registry names, so the sweep is a plain list of scenarios
+    # that differ only in their mapping field.
+    base = Scenario(
+        name="mapping-study",
+        wavelength_count=8,
+        genetic=GeneticParameters(population_size=60, generations=40),
     )
+    candidates = {
+        "paper": base,
+        "packed (adjacent cores)": base.derive(
+            mapping="round_robin", mapping_options={"stride": 1}
+        ),
+        "spread (stride 5)": base.derive(mapping="round_robin", mapping_options={"stride": 5}),
+        "random seed 1": base.derive(mapping="random", mapping_options={"seed": 1}),
+        "random seed 2": base.derive(mapping="random", mapping_options={"seed": 2}),
+    }
 
     # Hypervolume reference: worst time = single-wavelength bound, generous energy cap.
     reference = (45.0, 12.0)
     rows = []
-    for name, record in zip(candidates, records):
-        series = front_series(record, "time", "energy")
+    for name, scenario in candidates.items():
+        result = execute_scenario(scenario).result
+        best_time, best_energy, _ = result.best_objective_values()
         rows.append(
             {
                 "mapping": name,
-                "pareto_size": record.pareto_size,
-                "best_time_kcc": record.best_time_kcycles,
-                "best_energy_fj": record.best_energy_fj,
-                "hypervolume": hypervolume_2d(series, reference),
+                "pareto_size": result.pareto_size,
+                "best_time_kcc": best_time,
+                "best_energy_fj": best_energy,
+                "hypervolume": hypervolume_2d(result.front_series("time", "energy"), reference),
             }
         )
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Quickstart: explore wavelength allocations for the paper's application.
 
-This example builds the paper's 4x4 ring-based WDM ONoC, loads the virtual
-application of Fig. 5, runs a (small) NSGA-II exploration and prints the Pareto
-front together with the three reference points the paper highlights:
+This example describes the paper's setup — the virtual application of Fig. 5
+on the 4x4 ring-based WDM ONoC — as a :class:`~repro.Scenario`, runs a (small)
+NSGA-II exploration through :func:`~repro.execute_scenario` and prints the
+Pareto front together with the three reference points the paper highlights:
 
 * the most energy-efficient allocation (one wavelength per communication),
 * the fastest allocation found,
@@ -16,22 +17,24 @@ Run it with::
 
 from __future__ import annotations
 
-from repro import (
-    GeneticParameters,
-    RingOnocArchitecture,
-    WavelengthAllocator,
-    paper_mapping,
-    paper_task_graph,
-)
+from repro import GeneticParameters, Scenario, execute_scenario
+from repro.allocation import uniform_allocation
 from repro.analysis import format_table
+from repro.scenarios import build_scenario_evaluator
 
 
 def main() -> None:
-    architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
-    task_graph = paper_task_graph()
-    mapping = paper_mapping(architecture)
+    # The paper's workload and mapping are the scenario defaults; a quick GA
+    # sizing keeps the run short (increase it for better fronts).
+    scenario = Scenario(
+        name="quickstart",
+        wavelength_count=8,
+        genetic=GeneticParameters(population_size=80, generations=40),
+    )
+    evaluator = build_scenario_evaluator(scenario)
+    task_graph = evaluator.task_graph
 
-    print(architecture.describe())
+    print(evaluator.architecture.describe())
     print(
         f"Application: {task_graph.task_count} tasks, "
         f"{task_graph.communication_count} communications, "
@@ -40,10 +43,8 @@ def main() -> None:
     )
     print()
 
-    allocator = WavelengthAllocator(architecture, task_graph, mapping)
-
     # The paper's most energy-efficient reference point: one wavelength each.
-    single = allocator.evaluate_uniform(1)
+    single = uniform_allocation(evaluator, 1)
     print(
         "Single-wavelength allocation "
         f"{single.allocation_summary}: "
@@ -53,14 +54,14 @@ def main() -> None:
     )
     print()
 
-    # A quick exploration (increase the sizing for better fronts).
-    result = allocator.explore(GeneticParameters(population_size=80, generations=40))
+    outcome = execute_scenario(scenario)
+    result = outcome.result
     print(
         f"NSGA-II explored {result.valid_solution_count} distinct valid allocations; "
         f"{result.pareto_size} are Pareto-optimal."
     )
     print()
-    print(format_table(result.summary_rows()))
+    print(format_table(outcome.pareto_rows()))
     print()
 
     fastest = result.best_by("time")

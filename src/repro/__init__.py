@@ -18,13 +18,17 @@ provides:
 
 Quickstart
 ----------
->>> from repro import RingOnocArchitecture, WavelengthAllocator
->>> from repro import paper_task_graph, paper_mapping
->>> architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
->>> allocator = WavelengthAllocator(
-...     architecture, paper_task_graph(), paper_mapping(architecture))
->>> result = allocator.explore()
->>> best_energy = result.best_by("energy")
+Every run is a declarative :class:`Scenario` — by default the paper's Fig. 5
+application and mapping on the 4x4 ring — executed by
+:func:`execute_scenario`:
+
+>>> from repro import GeneticParameters, Scenario, execute_scenario
+>>> scenario = Scenario(
+...     wavelength_count=8,
+...     genetic=GeneticParameters(population_size=16, generations=6))
+>>> outcome = execute_scenario(scenario)
+>>> best_energy = outcome.result.best_by("energy")
+>>> rows = outcome.pareto_rows()
 """
 
 from .config import (
@@ -81,7 +85,6 @@ from .allocation import (
     Nsga2Optimizer,
     ObjectiveVector,
     ParetoFront,
-    WavelengthAllocator,
 )
 from .models import BerModel, BitEnergyModel, LinkBudget, PowerLossModel, SnrModel
 from .simulation import (
@@ -92,7 +95,6 @@ from .simulation import (
     SolutionVerification,
     VerificationReport,
 )
-from .exploration import WavelengthExplorationExperiment
 from .scenarios import (
     Scenario,
     ScenarioBuilder,
@@ -177,7 +179,6 @@ __all__ = [
     "ObjectiveVector",
     "CrosstalkScope",
     "Nsga2Optimizer",
-    "WavelengthAllocator",
     "ExplorationResult",
     "ParetoFront",
     # models
@@ -193,8 +194,6 @@ __all__ = [
     "SimulationVerifier",
     "SolutionVerification",
     "VerificationReport",
-    # exploration
-    "WavelengthExplorationExperiment",
     # scenarios
     "Scenario",
     "ScenarioBuilder",

@@ -15,8 +15,13 @@
   most-used, least-used, uniform).
 * :mod:`~repro.allocation.exhaustive`  — brute-force enumeration for tiny
   instances, used to validate the GA.
-* :mod:`~repro.allocation.allocator`   — the high-level
-  :class:`~repro.allocation.allocator.WavelengthAllocator` facade.
+* :mod:`~repro.allocation.allocator`   —
+  :class:`~repro.allocation.allocator.ExplorationResult`, the one result type
+  every optimizer backend returns.
+
+Runs are described as a :class:`~repro.scenarios.scenario.Scenario` and
+executed by :func:`~repro.scenarios.study.execute_scenario`; an evaluator for
+ad-hoc use comes from :func:`~repro.scenarios.study.build_scenario_evaluator`.
 """
 
 from .chromosome import Chromosome
@@ -49,7 +54,7 @@ from .heuristics import (
     uniform_allocation,
 )
 from .exhaustive import exhaustive_pareto_front
-from .allocator import WavelengthAllocator, ExplorationResult
+from .allocator import ExplorationResult
 
 __all__ = [
     "Chromosome",
@@ -78,6 +83,5 @@ __all__ = [
     "random_allocation",
     "uniform_allocation",
     "exhaustive_pareto_front",
-    "WavelengthAllocator",
     "ExplorationResult",
 ]

@@ -1,35 +1,30 @@
-"""High-level wavelength allocation facade.
+"""The backend-agnostic result of one wavelength-allocation exploration.
 
-:class:`WavelengthAllocator` is the single entry point most users need: give it
-an architecture, a task graph and a mapping, call :meth:`explore`, and read the
-resulting Pareto front.  It wires together the evaluator, the NSGA-II engine
-and the heuristic baselines, and packages the outcome in an
-:class:`ExplorationResult` that the experiment/benchmark layer consumes
-directly.
+Every optimizer backend (:mod:`repro.scenarios.backends`) returns an
+:class:`ExplorationResult`; :func:`~repro.scenarios.study.execute_scenario`
+wraps it in a :class:`~repro.scenarios.study.ScenarioOutcome`, and the paper
+layer reads its tables and figure series straight off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..application.mapping import Mapping
-from ..application.task_graph import TaskGraph
-from ..config import GeneticParameters, OnocConfiguration
-from ..errors import AllocationError
-from ..topology.base import OnocTopology
-from .chromosome import Chromosome
-from .nsga2 import Nsga2Optimizer, Nsga2Result
-from .objectives import (
-    AllocationEvaluator,
-    AllocationSolution,
-    CrosstalkScope,
-    ObjectiveVector,
-)
+from ..errors import AllocationError, ExperimentError
+from .nsga2 import Nsga2Result
+from .objectives import AllocationSolution
 from .pareto import ParetoFront
-from . import heuristics
 
-__all__ = ["ExplorationResult", "WavelengthAllocator"]
+__all__ = ["ExplorationResult"]
+
+#: Report axis -> (objective key the projected front is built on, value of one solution).
+_AXES: Dict[str, Tuple[str, Callable[[AllocationSolution], float]]] = {
+    "time": ("time", lambda solution: solution.objectives.execution_time_kcycles),
+    "energy": ("energy", lambda solution: solution.objectives.bit_energy_fj),
+    "ber": ("ber", lambda solution: solution.objectives.mean_bit_error_rate),
+    "log_ber": ("ber", lambda solution: solution.objectives.log10_ber),
+}
 
 
 @dataclass
@@ -194,6 +189,27 @@ class ExplorationResult:
             front.add(solution, solution.objective_tuple(objective_keys))
         return front
 
+    def front_series(
+        self, x_axis: str = "time", y_axis: str = "energy"
+    ) -> List[Tuple[float, float]]:
+        """The two-objective Pareto front as (x, y) pairs, sorted by x.
+
+        ``x_axis`` / ``y_axis`` accept ``"time"``, ``"energy"``, ``"ber"`` and
+        ``"log_ber"`` — Fig. 6a is (time, energy), Fig. 6b is (time, log_ber).
+        The front is recomputed over every valid solution of the run (see
+        :meth:`front_for`), so the series is a clean non-dominated staircase in
+        the requested projection.
+        """
+        for axis in (x_axis, y_axis):
+            if axis not in _AXES:
+                raise ExperimentError(f"unknown axis {axis!r}; choose from {sorted(_AXES)}")
+        (x_key, x_value), (y_key, y_value) = _AXES[x_axis], _AXES[y_axis]
+        pairs = [
+            (x_value(solution), y_value(solution))
+            for solution, _ in self.front_for((x_key, y_key))
+        ]
+        return sorted(pairs, key=lambda pair: pair[0])
+
     def best_by(self, key: str) -> AllocationSolution:
         """Pareto solution minimising one objective."""
         if self.front is None:
@@ -221,100 +237,3 @@ class ExplorationResult:
                 }
             )
         return rows
-
-
-class WavelengthAllocator:
-    """Multi-objective wavelength allocation on a ring-based WDM ONoC.
-
-    Parameters
-    ----------
-    architecture:
-        The ring ONoC carrying the WDM wavelengths.
-    task_graph:
-        The application whose communications need wavelengths.
-    mapping:
-        One-to-one task-to-core placement (known in advance, as in the paper).
-    configuration:
-        Optional configuration override.
-    crosstalk_scope:
-        Aggressor scope of the crosstalk model.
-    """
-
-    def __init__(
-        self,
-        architecture: OnocTopology,
-        task_graph: TaskGraph,
-        mapping: Mapping,
-        configuration: Optional[OnocConfiguration] = None,
-        crosstalk_scope: CrosstalkScope = CrosstalkScope.TEMPORAL,
-    ) -> None:
-        self._architecture = architecture
-        self._task_graph = task_graph
-        self._mapping = mapping
-        self._configuration = configuration or architecture.configuration
-        self._evaluator = AllocationEvaluator(
-            architecture=architecture,
-            task_graph=task_graph,
-            mapping=mapping,
-            configuration=self._configuration,
-            crosstalk_scope=crosstalk_scope,
-        )
-
-    # ----------------------------------------------------------------- access
-    @property
-    def evaluator(self) -> AllocationEvaluator:
-        """The underlying chromosome evaluator."""
-        return self._evaluator
-
-    @property
-    def architecture(self) -> OnocTopology:
-        """The architecture being explored."""
-        return self._architecture
-
-    # ------------------------------------------------------------ exploration
-    def explore(
-        self,
-        genetic_parameters: Optional[GeneticParameters] = None,
-        objective_keys: Sequence[str] = ObjectiveVector.KEYS,
-    ) -> ExplorationResult:
-        """Run the NSGA-II exploration and return the Pareto front."""
-        parameters = genetic_parameters or self._configuration.genetic
-        optimizer = Nsga2Optimizer(
-            evaluator=self._evaluator,
-            parameters=parameters,
-            objective_keys=objective_keys,
-        )
-        result = optimizer.run()
-        return ExplorationResult(
-            wavelength_count=self._architecture.wavelength_count,
-            objective_keys=tuple(objective_keys),
-            nsga2=result,
-        )
-
-    # -------------------------------------------------------------- shortcuts
-    def evaluate(self, chromosome: Chromosome) -> AllocationSolution:
-        """Evaluate a single chromosome."""
-        return self._evaluator.evaluate(chromosome)
-
-    def evaluate_allocation(
-        self, allocation: Sequence[Sequence[int]]
-    ) -> AllocationSolution:
-        """Evaluate an explicit per-communication channel assignment."""
-        return self._evaluator.evaluate_allocation(allocation)
-
-    def evaluate_uniform(self, wavelengths_per_communication: int = 1) -> AllocationSolution:
-        """Evaluate the uniform ``[n, n, ..., n]`` allocation (first-fit placed)."""
-        return heuristics.uniform_allocation(self._evaluator, wavelengths_per_communication)
-
-    def baseline_solutions(
-        self, target_counts: Sequence[int] | int = 1, seed: int = 2017
-    ) -> Dict[str, AllocationSolution]:
-        """Evaluate every classical heuristic baseline with the same counts."""
-        return {
-            "first_fit": heuristics.first_fit_allocation(self._evaluator, target_counts),
-            "most_used": heuristics.most_used_allocation(self._evaluator, target_counts),
-            "least_used": heuristics.least_used_allocation(self._evaluator, target_counts),
-            "random": heuristics.random_allocation(
-                self._evaluator, target_counts, seed=seed
-            ),
-        }

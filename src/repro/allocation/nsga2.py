@@ -589,39 +589,6 @@ class Nsga2Optimizer:
             flips[self._rng.integers(0, self._genome)] = True
         return flips
 
-    # ----------------------------------------- chromosome-level operator views
-    def _crossover(
-        self, parent_a: Chromosome, parent_b: Chromosome
-    ) -> Tuple[Chromosome, Chromosome]:
-        """Two-point crossover of one chromosome pair (single-pair matrix path)."""
-        if self._rng.random() >= self._parameters.crossover_probability:
-            return parent_a, parent_b
-        lower, upper = sorted(self._rng.integers(0, len(parent_a), size=2))
-        if lower == upper:
-            return parent_a, parent_b
-        genes_a = parent_a.as_array().reshape(-1).copy()
-        genes_b = parent_b.as_array().reshape(-1).copy()
-        genes_a[lower:upper], genes_b[lower:upper] = (
-            genes_b[lower:upper].copy(),
-            genes_a[lower:upper].copy(),
-        )
-        nl, nw = parent_a.communication_count, parent_a.wavelength_count
-        return (
-            Chromosome.from_numpy(genes_a, nl, nw),
-            Chromosome.from_numpy(genes_b, nl, nw),
-        )
-
-    def _mutate(self, chromosome: Chromosome) -> Chromosome:
-        """Bit-flip mutation of one chromosome (single-row matrix path)."""
-        probability = self._parameters.mutation_probability
-        if probability <= 0.0:
-            return chromosome
-        flips = self._draw_flips(probability)
-        genes = np.where(flips, 1 - chromosome.as_array().reshape(-1), chromosome.as_array().reshape(-1))
-        return Chromosome.from_numpy(
-            genes, chromosome.communication_count, chromosome.wavelength_count
-        )
-
     def _record(
         self,
         generation: int,

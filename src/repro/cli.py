@@ -49,8 +49,13 @@ the GA sizing flags and ``--topology`` / ``--workload`` / ``--mapping``
 registry names (with ``--topology-options`` / ``--workload-options`` /
 ``--mapping-options`` JSON objects), so any registered application can be
 explored, evaluated or simulated on any registered topology — not just the
-paper's; ``run`` and ``study`` accept ``--topology`` as an override of the
-scenario documents.  See ``python -m repro --help``.
+paper's.  The flags describe a :class:`~repro.scenarios.scenario.Scenario`:
+``info``, ``evaluate`` and ``simulate`` work on its evaluator and ``explore``
+executes it.  ``paper`` accepts the same flags but rejects any that would
+change the paper's setup; its GA sizing follows ``REPRO_PAPER_FULL`` unless
+``--population`` / ``--generations`` are given.  ``run`` and ``study``
+accept ``--topology`` as an override of the scenario documents.  See
+``python -m repro --help``.
 """
 
 from __future__ import annotations
@@ -62,14 +67,14 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .analysis import ascii_scatter, divergence_report, format_table, write_csv
-from .allocation import WavelengthAllocator
 from .allocation.heuristics import first_fit_allocation
-from .config import GeneticParameters, OnocConfiguration
+from .config import GeneticParameters
 from .devtools.cli import add_lint_arguments
 from .devtools.cli import run as run_lint
 from .errors import ReproError
@@ -78,13 +83,11 @@ from .scenarios import (
     MAPPING_STRATEGIES,
     OPTIMIZERS,
     WORKLOADS,
-    OptimizerParameters,
     Scenario,
     Study,
     VerificationSettings,
-    build_mapping,
-    build_workload,
-    create_optimizer,
+    build_scenario_evaluator,
+    execute_scenario,
     fetch_or_execute,
 )
 from .simulation import SimulationVerifier
@@ -589,8 +592,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _genetic_parameters(args: argparse.Namespace) -> GeneticParameters:
-    defaults = GeneticParameters()
+def _genetic_parameters(
+    args: argparse.Namespace, defaults: Optional[GeneticParameters] = None
+) -> GeneticParameters:
+    """GA sizing from ``--population`` / ``--generations``; unset flags keep ``defaults``."""
+    defaults = defaults or GeneticParameters()
     population = defaults.population_size if args.population is None else args.population
     generations = defaults.generations if args.generations is None else args.generations
     if population <= 0:
@@ -617,36 +623,28 @@ def _parse_options(text: Optional[str], flag: str) -> Dict[str, Any]:
     return options
 
 
-def _build_allocator(args: argparse.Namespace) -> WavelengthAllocator:
-    """The allocator for the workload/mapping the flags select.
+def _scenario_from_args(args: argparse.Namespace, **changes: Any) -> Scenario:
+    """The scenario the common flags of a classic command describe.
 
     Topology, workload and mapping all come from the registries
     (``--topology`` / ``--workload`` / ``--mapping``), so every classic
     command runs on any registered architecture and application, not just the
     paper's; ``--seed`` keeps randomised workloads and mappings deterministic.
     """
-    configuration = OnocConfiguration(genetic=_genetic_parameters(args))
-    architecture = build_topology(
-        args.topology,
-        args.rows,
-        args.columns,
+    return Scenario(
+        name=args.command,
+        rows=args.rows,
+        columns=args.columns,
         wavelength_count=args.wavelengths,
-        configuration=configuration,
-        options=_parse_options(args.topology_options, "--topology-options"),
+        topology=args.topology,
+        topology_options=_parse_options(args.topology_options, "--topology-options"),
+        workload=args.workload,
+        workload_options=_parse_options(args.workload_options, "--workload-options"),
+        mapping=args.mapping,
+        mapping_options=_parse_options(args.mapping_options, "--mapping-options"),
+        genetic=_genetic_parameters(args),
+        **changes,
     )
-    task_graph = build_workload(
-        args.workload,
-        _parse_options(args.workload_options, "--workload-options"),
-        seed=args.seed,
-    )
-    mapping = build_mapping(
-        args.mapping,
-        task_graph,
-        architecture,
-        _parse_options(args.mapping_options, "--mapping-options"),
-        seed=args.seed,
-    )
-    return WavelengthAllocator(architecture, task_graph, mapping, configuration)
 
 
 def _parse_counts(text: str) -> List[int]:
@@ -701,10 +699,9 @@ def _command_topologies(args: argparse.Namespace) -> int:
 
 
 def _command_info(args: argparse.Namespace) -> int:
-    allocator = _build_allocator(args)
-    architecture = allocator.architecture
-    task_graph = allocator.evaluator.task_graph
-    print(architecture.describe())
+    evaluator = build_scenario_evaluator(_scenario_from_args(args))
+    task_graph = evaluator.task_graph
+    print(evaluator.architecture.describe())
     print(
         f"Application: {task_graph.task_count} tasks, "
         f"{task_graph.communication_count} communications, "
@@ -717,14 +714,12 @@ def _command_info(args: argparse.Namespace) -> int:
 
 
 def _command_explore(args: argparse.Namespace) -> int:
-    allocator = _build_allocator(args)
     objective_keys = tuple(key.strip() for key in args.objectives.split(",") if key.strip())
-    backend = create_optimizer(args.optimizer)
-    parameters = OptimizerParameters(
-        genetic=_genetic_parameters(args), objective_keys=objective_keys
+    outcome = execute_scenario(
+        _scenario_from_args(args, objectives=objective_keys, optimizer=args.optimizer)
     )
-    result = backend.run(allocator.evaluator, parameters)
-    rows = result.summary_rows()
+    result = outcome.result
+    rows = outcome.pareto_rows()
     print(
         f"{result.valid_solution_count} distinct valid allocations explored "
         f"({args.optimizer}), {result.pareto_size} on the Pareto front "
@@ -736,9 +731,9 @@ def _command_explore(args: argparse.Namespace) -> int:
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:
-    allocator = _build_allocator(args)
+    evaluator = build_scenario_evaluator(_scenario_from_args(args))
     counts = _parse_counts(args.allocation)
-    solution = first_fit_allocation(allocator.evaluator, counts)
+    solution = first_fit_allocation(evaluator, counts)
     print(f"allocation {solution.allocation_summary} "
           f"(chromosome {solution.chromosome.to_paper_string()})")
     print(f"  valid            : {solution.is_valid}")
@@ -759,10 +754,10 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    allocator = _build_allocator(args)
+    evaluator = build_scenario_evaluator(_scenario_from_args(args))
     counts = _parse_counts(args.allocation)
-    solution = first_fit_allocation(allocator.evaluator, counts)
-    verifier = SimulationVerifier.from_evaluator(allocator.evaluator)
+    solution = first_fit_allocation(evaluator, counts)
+    verifier = SimulationVerifier.from_evaluator(evaluator)
     verification = verifier.verify_solution(solution)
     print(
         f"simulated allocation {solution.allocation_summary} "
@@ -787,13 +782,38 @@ def _command_paper(args: argparse.Namespace) -> int:
             "the paper artefacts are defined on the 'ring' topology; "
             "use 'explore'/'run'/'study' to explore other topologies"
         )
+    changed = [
+        flag
+        for flag, value, paper_value in (
+            ("--rows", args.rows, 4),
+            ("--columns", args.columns, 4),
+            ("--workload", args.workload, "paper"),
+            ("--mapping", args.mapping, "paper"),
+            ("--topology-options", args.topology_options, None),
+            ("--workload-options", args.workload_options, None),
+            ("--mapping-options", args.mapping_options, None),
+        )
+        if value != paper_value
+    ]
+    if changed:
+        # Same reasoning: the suite always runs the paper's own setup.
+        raise ReproError(
+            "the paper artefacts are defined on the paper's 4x4 grid, workload "
+            f"and mapping, which {', '.join(changed)} would change; "
+            "use 'explore'/'run'/'study' to explore other setups"
+        )
     if args.artefact == "table1":
         print(format_table(table1_rows()))
         _maybe_write_csv(args, table1_rows())
         return 0
 
-    configuration = OnocConfiguration(genetic=_genetic_parameters(args))
-    suite = PaperExperimentSuite(configuration=configuration)
+    suite = PaperExperimentSuite(seed=args.seed)
+    if args.population is not None or args.generations is not None:
+        # Only explicit sizing flags replace the suite's own GA sizing, so
+        # REPRO_PAPER_FULL=1 keeps the paper's 400 x 300 otherwise.
+        configuration = suite.configuration
+        genetic = _genetic_parameters(args, configuration.genetic)
+        suite = PaperExperimentSuite(configuration=replace(configuration, genetic=genetic))
     if args.artefact == "table2":
         rows = suite.table2()
         print(format_table(rows))

@@ -2,14 +2,13 @@
 
 * :mod:`~repro.paper.parameters`  — the exact parameter values of Table I and
   Section IV, plus the Table I rows themselves.
-* :mod:`~repro.paper.application` — the virtual application and mapping of
-  Fig. 5, packaged as an experiment factory.
 * :mod:`~repro.paper.experiments` — drivers that regenerate Table II and
-  Figures 6a, 6b and 7.
+  Figures 6a, 6b and 7.  Each paper run is a
+  :class:`~repro.scenarios.scenario.Scenario` (Fig. 5 workload and mapping on
+  the 4x4 ring, see :meth:`PaperExperimentSuite.scenario_for`).
 """
 
 from .parameters import paper_configuration, table1_rows, PAPER_WAVELENGTH_COUNTS
-from .application import paper_experiment
 from .experiments import (
     PaperExperimentSuite,
     run_table2,
@@ -22,7 +21,6 @@ __all__ = [
     "paper_configuration",
     "table1_rows",
     "PAPER_WAVELENGTH_COUNTS",
-    "paper_experiment",
     "PaperExperimentSuite",
     "run_table2",
     "run_fig6a",

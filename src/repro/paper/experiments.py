@@ -11,8 +11,11 @@ series) so the benchmark harness can both print it and assert its shape:
   (execution time, log10 BER) plane plus the Pareto front.
 
 The heavy part (one NSGA-II run per wavelength count) is shared: a
-:class:`PaperExperimentSuite` caches the three exploration records, so
-regenerating all figures costs three GA runs, exactly as in the paper.  The GA
+:class:`PaperExperimentSuite` describes each run as a
+:class:`~repro.scenarios.scenario.Scenario`, executes it once through
+:func:`~repro.scenarios.study.execute_scenario` and caches the
+:class:`~repro.scenarios.study.ScenarioOutcome`, so regenerating all figures
+costs three GA runs, exactly as in the paper.  The GA
 sizing defaults to the library's fast settings; pass ``full_scale=True`` (or
 set the environment variable ``REPRO_PAPER_FULL=1``) for the paper's
 400-individual, 300-generation runs.
@@ -23,11 +26,9 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import GeneticParameters, OnocConfiguration
-from ..exploration.experiment import ExperimentRecord, make_record
-from ..exploration.report import front_series, pareto_table, solution_count_table
+from ..config import OnocConfiguration
 from ..scenarios.scenario import Scenario
-from ..scenarios.study import execute_scenario
+from ..scenarios.study import ScenarioOutcome, execute_scenario
 from .parameters import PAPER_WAVELENGTH_COUNTS, paper_configuration
 
 __all__ = [
@@ -72,7 +73,7 @@ class PaperExperimentSuite:
         self._configuration = configuration or paper_configuration(
             full_scale=full_scale, seed=seed
         )
-        self._records: Dict[int, ExperimentRecord] = {}
+        self._outcomes: Dict[int, ScenarioOutcome] = {}
 
     @property
     def wavelength_counts(self) -> Tuple[int, ...]:
@@ -108,52 +109,63 @@ class PaperExperimentSuite:
             },
         )
 
-    def record(self, wavelength_count: int) -> ExperimentRecord:
-        """The (cached) exploration record for one wavelength count."""
-        if wavelength_count not in self._records:
-            outcome = execute_scenario(self.scenario_for(wavelength_count))
-            self._records[wavelength_count] = make_record(
-                outcome.result, outcome.runtime_seconds
+    def record(self, wavelength_count: int) -> ScenarioOutcome:
+        """The (cached) outcome of the paper run for one wavelength count."""
+        if wavelength_count not in self._outcomes:
+            self._outcomes[wavelength_count] = execute_scenario(
+                self.scenario_for(wavelength_count)
             )
-        return self._records[wavelength_count]
+        return self._outcomes[wavelength_count]
 
-    def records(self) -> List[ExperimentRecord]:
-        """Exploration records for every configured wavelength count."""
+    def records(self) -> List[ScenarioOutcome]:
+        """Outcomes for every configured wavelength count."""
         return [self.record(count) for count in self._wavelength_counts]
 
     # ------------------------------------------------------------------ table 2
     def table2(self) -> List[Dict[str, object]]:
-        """Rows of Table II."""
-        return solution_count_table(self.records())
+        """Rows of Table II: wavelengths, Pareto-front size, valid-solution count.
+
+        The Pareto-front size is computed over the two-objective projection the
+        paper uses for its Table II discussion (execution time vs bit energy).
+        """
+        results = [outcome.result for outcome in self.records()]
+        return [
+            {
+                "wavelength_count": result.wavelength_count,
+                "pareto_front_size": len(result.front_for(("time", "energy"))),
+                "valid_solution_count": result.valid_solution_count,
+            }
+            for result in results
+        ]
 
     # ------------------------------------------------------------------ figures
     def fig6a(self) -> Dict[int, List[Tuple[float, float]]]:
         """Fig. 6a series: execution time (kcc) vs bit energy (fJ/bit) per NW."""
         return {
-            record.wavelength_count: front_series(record, "time", "energy")
-            for record in self.records()
+            outcome.result.wavelength_count: outcome.result.front_series("time", "energy")
+            for outcome in self.records()
         }
 
     def fig6b(self) -> Dict[int, List[Tuple[float, float]]]:
         """Fig. 6b series: execution time (kcc) vs log10(BER) per NW."""
         return {
-            record.wavelength_count: front_series(record, "time", "log_ber")
-            for record in self.records()
+            outcome.result.wavelength_count: outcome.result.front_series("time", "log_ber")
+            for outcome in self.records()
         }
 
     def fig7(self, wavelength_count: int = 8) -> Dict[str, List[Tuple[float, float]]]:
         """Fig. 7: all valid solutions and the Pareto front for one NW (default 8)."""
-        record = self.record(wavelength_count)
+        result = self.record(wavelength_count).result
         all_points = [
-            (row["execution_time_kcycles"], row["log10_ber"])
-            for row in record.valid_solution_rows()
+            (solution.objectives.execution_time_kcycles, solution.objectives.log10_ber)
+            for solution in result.valid_solutions
         ]
-        front_points = front_series(record, "time", "log_ber")
+        front_points = result.front_series("time", "log_ber")
         return {"valid_solutions": all_points, "pareto_front": front_points}
 
     def pareto_rows(self) -> List[Dict[str, object]]:
         """Every Pareto solution of every wavelength count (CSV-ready)."""
-        return pareto_table(self.records())
+        return [row for outcome in self.records() for row in outcome.pareto_rows()]
 
 
 def run_table2(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.allocation import AllocationEvaluator, WavelengthAllocator
+from repro.allocation import AllocationEvaluator
 
 # The fixtures used inside @given blocks are immutable parameter bundles or
 # freshly derived models, so not resetting them between generated examples is
@@ -62,12 +62,6 @@ def mapping(architecture):
 def evaluator(architecture, task_graph, mapping) -> AllocationEvaluator:
     """An allocation evaluator for the paper setup with 8 wavelengths."""
     return AllocationEvaluator(architecture, task_graph, mapping)
-
-
-@pytest.fixture
-def allocator(architecture, task_graph, mapping) -> WavelengthAllocator:
-    """A wavelength allocator for the paper setup with 8 wavelengths."""
-    return WavelengthAllocator(architecture, task_graph, mapping)
 
 
 @pytest.fixture

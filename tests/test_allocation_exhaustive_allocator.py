@@ -1,4 +1,4 @@
-"""Tests for the exhaustive search and the high-level allocator facade."""
+"""Tests for the exhaustive search and the exploration result of a scenario run."""
 
 from __future__ import annotations
 
@@ -8,13 +8,14 @@ from repro.allocation import (
     AllocationEvaluator,
     Chromosome,
     Nsga2Optimizer,
-    WavelengthAllocator,
     exhaustive_pareto_front,
+    uniform_allocation,
 )
 from repro.allocation.exhaustive import enumerate_chromosomes
 from repro.application import Mapping, pipeline_task_graph
 from repro.config import GeneticParameters
 from repro.errors import AllocationError
+from repro.scenarios import Scenario, build_scenario_evaluator, execute_scenario
 from repro.topology import RingOnocArchitecture
 
 
@@ -69,16 +70,22 @@ class TestExhaustiveFront:
         assert ga_best_energy == pytest.approx(true_best_energy, rel=1e-6)
 
 
-class TestWavelengthAllocator:
-    def test_explore_returns_consistent_result(self, allocator, smoke_ga):
-        result = allocator.explore(smoke_ga)
+@pytest.fixture(scope="module")
+def paper_outcome():
+    """The paper setup at 8 wavelengths, explored by a smoke-sized NSGA-II."""
+    return execute_scenario(Scenario(genetic=GeneticParameters.smoke_test()))
+
+
+class TestScenarioExploration:
+    def test_explore_returns_consistent_result(self, paper_outcome):
+        result = paper_outcome.result
         assert result.wavelength_count == 8
         assert result.valid_solution_count == len(result.valid_solutions)
         assert result.pareto_size == len(result.pareto_front)
-        assert len(result.summary_rows()) == result.pareto_size
+        assert len(paper_outcome.pareto_rows()) == result.pareto_size
 
-    def test_summary_rows_have_expected_columns(self, allocator, smoke_ga):
-        rows = allocator.explore(smoke_ga).summary_rows()
+    def test_summary_rows_have_expected_columns(self, paper_outcome):
+        rows = paper_outcome.pareto_rows()
         assert rows
         assert set(rows[0]) == {
             "wavelength_count",
@@ -89,38 +96,42 @@ class TestWavelengthAllocator:
             "log10_ber",
         }
 
-    def test_front_for_projection_is_subset_of_valid_solutions(self, allocator, smoke_ga):
-        result = allocator.explore(smoke_ga)
+    def test_front_for_projection_is_subset_of_valid_solutions(self, paper_outcome):
+        result = paper_outcome.result
         projected = result.front_for(("time", "energy"))
         valid_keys = {solution.chromosome.genes for solution in result.valid_solutions}
         assert len(projected) >= 1
         for solution, _ in projected:
             assert solution.chromosome.genes in valid_keys
 
-    def test_front_for_same_keys_returns_run_front(self, allocator, smoke_ga):
-        result = allocator.explore(smoke_ga)
+    def test_front_for_same_keys_returns_run_front(self, paper_outcome):
+        result = paper_outcome.result
         assert result.front_for(result.objective_keys) is result.nsga2.pareto_front
 
-    def test_evaluate_shortcuts(self, allocator):
+    def test_evaluate_shortcuts(self):
+        evaluator = build_scenario_evaluator(Scenario())
         chromosome = Chromosome.from_allocation(
-            [(0,), (1,), (2,), (3,), (4,), (5,)], allocator.architecture.wavelength_count
+            [(0,), (1,), (2,), (3,), (4,), (5,)], evaluator.wavelength_count
         )
-        direct = allocator.evaluate(chromosome)
-        via_allocation = allocator.evaluate_allocation(chromosome.allocation())
+        direct = evaluator.evaluate(chromosome)
+        via_allocation = evaluator.evaluate_allocation(chromosome.allocation())
         assert direct.objectives == via_allocation.objectives
 
-    def test_evaluate_uniform(self, allocator):
-        solution = allocator.evaluate_uniform(1)
+    def test_evaluate_uniform(self):
+        solution = uniform_allocation(build_scenario_evaluator(Scenario()), 1)
         assert solution.is_valid
         assert solution.wavelength_counts == (1,) * 6
 
-    def test_baseline_solutions_cover_every_heuristic(self, allocator):
-        baselines = allocator.baseline_solutions(1)
-        assert set(baselines) == {"first_fit", "most_used", "least_used", "random"}
-        assert all(solution.is_valid for solution in baselines.values())
+    def test_baseline_solutions_cover_every_heuristic(self):
+        for name in ("first_fit", "most_used", "least_used", "random"):
+            result = execute_scenario(Scenario(optimizer=name)).result
+            # Invalid heuristic picks never reach the front: one valid point each.
+            assert result.backend == name
+            assert len(result.pareto_solutions) == 1
+            assert result.pareto_solutions[0].is_valid
 
-    def test_best_by_each_objective(self, allocator, smoke_ga):
-        result = allocator.explore(smoke_ga)
+    def test_best_by_each_objective(self, paper_outcome):
+        result = paper_outcome.result
         fastest = result.best_by("time")
         greenest = result.best_by("energy")
         assert (

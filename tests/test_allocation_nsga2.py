@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.allocation import Chromosome, Nsga2Optimizer
@@ -98,38 +99,52 @@ class TestRun:
 
 
 class TestOperators:
-    def test_crossover_preserves_shape_and_genes(self, optimizer, evaluator):
-        import numpy as np
+    """The matrix operator one generation of the run uses: ``_make_offspring``."""
 
-        rng = np.random.default_rng(0)
-        parent_a = evaluator.random_chromosome(rng)
-        parent_b = evaluator.random_chromosome(rng)
-        child_a, child_b = optimizer._crossover(parent_a, parent_b)
-        assert len(child_a) == len(parent_a)
-        assert len(child_b) == len(parent_b)
-        # Gene multiset is conserved position-wise across the pair.
-        for position in range(len(parent_a)):
-            assert {child_a.genes[position], child_b.genes[position]} == {
-                parent_a.genes[position],
-                parent_b.genes[position],
-            }
-
-    def test_mutation_changes_at_least_one_gene(self, optimizer, evaluator):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        chromosome = evaluator.random_chromosome(rng)
-        mutated = optimizer._mutate(chromosome)
-        assert mutated.communication_count == chromosome.communication_count
-        assert mutated != chromosome
-
-    def test_zero_mutation_probability_is_identity(self, evaluator):
-        import numpy as np
-
+    @staticmethod
+    def offspring(evaluator, population, **probabilities):
         optimizer = Nsga2Optimizer(
             evaluator,
-            GeneticParameters(population_size=16, generations=1, mutation_probability=0.0),
+            GeneticParameters(population_size=len(population), generations=1, **probabilities),
         )
-        rng = np.random.default_rng(2)
-        chromosome = evaluator.random_chromosome(rng)
-        assert optimizer._mutate(chromosome) == chromosome
+        objectives = np.random.default_rng(3).random((len(population), 3))
+        return optimizer._make_offspring(population, objectives)
+
+    @staticmethod
+    def random_population(evaluator, size, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack(
+            [evaluator.random_chromosome(rng).as_array().reshape(-1) for _ in range(size)]
+        ).astype(np.uint8)
+
+    def test_crossover_preserves_shape_and_genes(self, evaluator):
+        population = self.random_population(evaluator, 16, seed=0)
+        children = self.offspring(evaluator, population, mutation_probability=0.0)
+        assert children.shape == population.shape
+        # Without mutation every child pair is a position-wise swap of two
+        # parents: each gene position comes from one of them, and the pair
+        # keeps both parents' genes at that position.
+        for first, second in zip(children[0::2], children[1::2]):
+            pair = np.sort(np.stack([first, second]), axis=0)
+            assert any(
+                np.array_equal(pair, np.sort(np.stack([parent_a, parent_b]), axis=0))
+                for parent_a in population
+                for parent_b in population
+            )
+
+    def test_mutation_changes_at_least_one_gene(self, evaluator):
+        # Identical parents and no crossover: any difference is a mutation.
+        parent = self.random_population(evaluator, 1, seed=1)[0]
+        population = np.tile(parent, (16, 1))
+        children = self.offspring(evaluator, population, crossover_probability=0.0)
+        assert children.shape == population.shape
+        assert (children != parent).any(axis=1).all()
+
+    def test_zero_mutation_probability_is_identity(self, evaluator):
+        population = self.random_population(evaluator, 16, seed=2)
+        children = self.offspring(
+            evaluator, population, crossover_probability=0.0, mutation_probability=0.0
+        )
+        # Every child is an unchanged copy of a tournament winner.
+        parents = {row.tobytes() for row in population}
+        assert all(child.tobytes() in parents for child in children)

@@ -5,15 +5,20 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.allocation import WavelengthAllocator
-from repro.application import (
-    Mapping,
-    fft_task_graph,
-    gaussian_elimination_task_graph,
-)
+from repro.allocation import uniform_allocation
+from repro.application import fft_task_graph, gaussian_elimination_task_graph
 from repro.config import GeneticParameters
 from repro.errors import TaskGraphError
-from repro.topology import RingOnocArchitecture
+from repro.scenarios import Scenario, build_scenario_evaluator, execute_scenario
+
+#: The 4-point FFT butterfly spread over adjacent cores of the 4x4 ring.
+FFT_SCENARIO = Scenario(
+    name="fft",
+    workload="fft",
+    workload_options={"points": 4, "execution_cycles": 1000.0, "volume_bits": 1000.0},
+    mapping="round_robin",
+    mapping_options={"stride": 1},
+)
 
 
 class TestFftTaskGraph:
@@ -56,11 +61,9 @@ class TestFftTaskGraph:
         # The butterfly's fan-in makes many transfers concurrent: 4 wavelengths
         # are not enough for a conflict-free single-wavelength assignment, but
         # the paper's 8-wavelength waveguide is.
-        graph = fft_task_graph(points=4, execution_cycles=1000.0, volume_bits=1000.0)
-        architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
-        mapping = Mapping.round_robin(graph, architecture, stride=1)
-        allocator = WavelengthAllocator(architecture, graph, mapping)
-        result = allocator.explore(GeneticParameters.smoke_test())
+        result = execute_scenario(
+            FFT_SCENARIO.derive(genetic=GeneticParameters.smoke_test())
+        ).result
         assert result.pareto_size >= 1
         assert result.best_by("energy").is_valid
 
@@ -68,12 +71,9 @@ class TestFftTaskGraph:
         from repro.allocation import first_fit_allocation
         from repro.errors import AllocationError
 
-        graph = fft_task_graph(points=4, execution_cycles=1000.0, volume_bits=1000.0)
-        architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=4)
-        mapping = Mapping.round_robin(graph, architecture, stride=1)
-        allocator = WavelengthAllocator(architecture, graph, mapping)
+        evaluator = build_scenario_evaluator(FFT_SCENARIO.derive(wavelength_count=4))
         with pytest.raises(AllocationError):
-            first_fit_allocation(allocator.evaluator, 1)
+            first_fit_allocation(evaluator, 1)
 
 
 class TestGaussianEliminationTaskGraph:
@@ -112,10 +112,12 @@ class TestGaussianEliminationTaskGraph:
             gaussian_elimination_task_graph(size=1)
 
     def test_allocation_flow_on_paper_ring(self):
-        architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
-        graph = gaussian_elimination_task_graph(size=5)
-        mapping = Mapping.round_robin(graph, architecture, stride=1)
-        allocator = WavelengthAllocator(architecture, graph, mapping)
-        solution = allocator.evaluate_uniform(1)
+        scenario = Scenario(
+            workload="gaussian_elimination",
+            workload_options={"size": 5},
+            mapping="round_robin",
+            mapping_options={"stride": 1},
+        )
+        solution = uniform_allocation(build_scenario_evaluator(scenario), 1)
         assert solution.is_valid
         assert solution.objectives.execution_time_kcycles > 0.0

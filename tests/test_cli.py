@@ -7,8 +7,12 @@ import json
 
 import pytest
 
+from repro.analysis import write_csv
 from repro.cli import _genetic_parameters, build_parser, main
+from repro.config import GeneticParameters
 from repro.errors import ReproError
+from repro.paper import PaperExperimentSuite
+from repro.scenarios import Scenario, execute_scenario
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -160,6 +164,29 @@ class TestExplore:
         assert "(time, energy)" in output
         assert target.exists()
         assert target.read_text().startswith("wavelength_count")
+
+    def test_explore_csv_rows_are_the_equivalent_scenario_rows(self, capsys, tmp_path):
+        target = tmp_path / "front.csv"
+        run_cli(
+            capsys,
+            "explore",
+            *FAST_GA,
+            "--workload", "pipeline",
+            "--mapping", "round_robin",
+            "--mapping-options", '{"stride": 2}',
+            "--objectives", "time,energy",
+            "--seed", "7",
+            "--csv", str(target),
+        )
+        scenario = Scenario(
+            workload="pipeline",
+            mapping="round_robin",
+            mapping_options={"stride": 2},
+            objectives=("time", "energy"),
+            genetic=GeneticParameters(population_size=16, generations=6, seed=7),
+        )
+        expected = write_csv(tmp_path / "expected.csv", execute_scenario(scenario).pareto_rows())
+        assert target.read_text() == expected.read_text()
 
 
 class TestGeneticFlagFallback:
@@ -526,3 +553,50 @@ class TestPaperArtefacts:
         output = run_cli(capsys, "paper", "fig7", *FAST_GA, "--wavelengths", "8")
         assert "Pareto front" in output
         assert "log10(BER)" in output
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--workload", "fft"),
+            ("--mapping", "round_robin"),
+            ("--rows", "2"),
+            ("--columns", "2"),
+            ("--workload-options", "{}"),
+            ("--mapping-options", '{"stride": 2}'),
+            ("--topology-options", '{"layers": 2}'),
+        ],
+    )
+    def test_flags_that_change_the_paper_setup_are_rejected(self, capsys, flags):
+        exit_code = main(["paper", "table2", *FAST_GA, *flags])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert flags[0] in captured.err
+        assert "paper's 4x4 grid, workload and mapping" in captured.err
+
+    @pytest.mark.parametrize(
+        "full_scale,flags,sizing",
+        [
+            ("1", (), (400, 300)),
+            # An explicit flag replaces only its own half of the sizing.
+            ("1", ("--generations", "2"), (400, 2)),
+            (None, (), (120, 80)),
+            (None, FAST_GA, (16, 6)),
+        ],
+    )
+    def test_ga_sizing_follows_paper_full_unless_flags_are_given(
+        self, capsys, monkeypatch, full_scale, flags, sizing
+    ):
+        if full_scale is None:
+            monkeypatch.delenv("REPRO_PAPER_FULL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PAPER_FULL", full_scale)
+        seen = []
+
+        def fake_table2(suite):
+            seen.append(suite.configuration.genetic)
+            return [{"wavelength_count": 8}]
+
+        monkeypatch.setattr(PaperExperimentSuite, "table2", fake_table2)
+        run_cli(capsys, "paper", "table2", *flags)
+        assert [(genetic.population_size, genetic.generations) for genetic in seen] == [sizing]

@@ -1,157 +1,148 @@
-"""Unit tests for the exploration harness (experiments, sweeps, reports)."""
+"""Single runs, design-space sweeps and paper reports, all expressed as scenarios.
+
+A sweep is a plain list of :class:`~repro.scenarios.scenario.Scenario` values
+built with :meth:`~repro.scenarios.scenario.Scenario.derive`; the paper's
+Table II / Fig. 6 / Fig. 7 reports are read off the
+:class:`~repro.scenarios.study.ScenarioOutcome` objects a
+:class:`~repro.paper.PaperExperimentSuite` caches.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.allocation import AllocationEvaluator
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters, OnocConfiguration
 from repro.errors import ExperimentError
-from repro.exploration import (
-    WavelengthExplorationExperiment,
-    front_series,
-    pareto_table,
-    solution_count_table,
-    sweep_channel_setup_energy,
-    sweep_genetic_parameters,
-    sweep_mappings,
-    sweep_quality_factor,
-    sweep_wavelength_counts,
+from repro.paper import PaperExperimentSuite
+from repro.scenarios import (
+    OptimizerParameters,
+    Scenario,
+    build_scenario_evaluator,
+    create_optimizer,
+    execute_scenario,
 )
-from repro.application import Mapping
 
 #: A deliberately tiny GA so the exploration tests stay fast.
 TINY = GeneticParameters.smoke_test()
 
+#: The paper's application and mapping on the 4x4 ring, 8 wavelengths.
+BASE = Scenario(name="tiny", genetic=TINY)
+
+
+def run_all(scenarios):
+    return [execute_scenario(scenario) for scenario in scenarios]
+
 
 @pytest.fixture(scope="module")
-def experiment() -> WavelengthExplorationExperiment:
-    return WavelengthExplorationExperiment(
-        task_graph=paper_task_graph(), mapping_factory=paper_mapping
+def suite() -> PaperExperimentSuite:
+    return PaperExperimentSuite(
+        wavelength_counts=(4, 8), configuration=OnocConfiguration(genetic=TINY)
     )
 
 
-@pytest.fixture(scope="module")
-def records(experiment):
-    return experiment.run_many([4, 8], genetic_parameters=TINY)
-
-
 class TestExperiment:
-    def test_run_single_produces_a_complete_record(self, experiment):
-        record = experiment.run_single(4, genetic_parameters=TINY)
-        assert record.wavelength_count == 4
-        assert record.valid_solution_count > 0
-        assert record.pareto_size > 0
-        assert record.best_time_kcycles <= 38.0
-        assert record.runtime_seconds > 0.0
+    def test_run_single_produces_a_complete_record(self):
+        outcome = execute_scenario(BASE.derive(wavelength_count=4))
+        summary = outcome.summary()
+        assert summary.wavelength_count == 4
+        assert summary.valid_solution_count > 0
+        assert summary.pareto_size > 0
+        assert summary.best_time_kcycles <= 38.0
+        assert outcome.runtime_seconds > 0.0
 
-    def test_run_many_keeps_request_order(self, records):
-        assert [record.wavelength_count for record in records] == [4, 8]
+    def test_run_many_keeps_request_order(self, suite):
+        assert [outcome.result.wavelength_count for outcome in suite.records()] == [4, 8]
 
-    def test_build_allocator_uses_requested_wavelengths(self, experiment):
-        allocator = experiment.build_allocator(12)
-        assert allocator.architecture.wavelength_count == 12
+    def test_build_allocator_uses_requested_wavelengths(self):
+        evaluator = build_scenario_evaluator(BASE.derive(wavelength_count=12))
+        assert evaluator.architecture.wavelength_count == 12
 
-    def test_zero_wavelengths_rejected(self, experiment):
+    def test_zero_wavelengths_rejected(self):
         with pytest.raises(ExperimentError):
-            experiment.build_allocator(0)
+            BASE.derive(wavelength_count=0)
 
     def test_explicit_mapping_object_is_accepted(self, architecture):
-        mapping = paper_mapping(architecture)
-        experiment = WavelengthExplorationExperiment(
-            task_graph=paper_task_graph(), mapping_factory=mapping
+        # An in-memory placement runs through the backend call execute_scenario makes.
+        evaluator = AllocationEvaluator(
+            architecture, paper_task_graph(), paper_mapping(architecture)
         )
-        record = experiment.run_single(8, genetic_parameters=TINY)
-        assert record.wavelength_count == 8
+        result = create_optimizer("nsga2").run(evaluator, OptimizerParameters(genetic=TINY))
+        assert result.wavelength_count == 8
+        # That placement is the registry's "paper" mapping: the runs agree.
+        assert result.summary_rows() == execute_scenario(BASE).pareto_rows()
 
-    def test_record_rows(self, records):
-        record = records[0]
-        pareto_rows = record.pareto_rows()
-        valid_rows = record.valid_solution_rows()
-        assert len(pareto_rows) == record.pareto_size
-        assert len(valid_rows) == record.valid_solution_count
-        assert {"execution_time_kcycles", "bit_energy_fj", "log10_ber"} <= set(valid_rows[0])
+    def test_record_rows(self, suite):
+        outcome = suite.record(4)
+        assert len(outcome.pareto_rows()) == outcome.result.pareto_size
+        valid_points = suite.fig7(4)["valid_solutions"]
+        assert len(valid_points) == outcome.result.valid_solution_count
 
 
 class TestReports:
-    def test_solution_count_table_rows(self, records):
-        rows = solution_count_table(records)
+    def test_solution_count_table_rows(self, suite):
+        rows = suite.table2()
         assert [row["wavelength_count"] for row in rows] == [4, 8]
-        for row, record in zip(rows, records):
-            assert row["valid_solution_count"] == record.valid_solution_count
-            assert 0 < row["pareto_front_size"] <= record.valid_solution_count
+        for row, outcome in zip(rows, suite.records()):
+            assert row["valid_solution_count"] == outcome.result.valid_solution_count
+            assert 0 < row["pareto_front_size"] <= outcome.result.valid_solution_count
 
-    def test_front_series_is_sorted_and_non_dominated(self, records):
-        series = front_series(records[0], "time", "energy")
+    def test_front_series_is_sorted_and_non_dominated(self, suite):
+        series = suite.record(4).result.front_series("time", "energy")
         xs = [x for x, _ in series]
         ys = [y for _, y in series]
         assert xs == sorted(xs)
         # Along a 2-objective minimisation front sorted by x, y must decrease.
         assert all(earlier >= later for earlier, later in zip(ys, ys[1:]))
 
-    def test_front_series_log_ber_axis(self, records):
-        series = front_series(records[0], "time", "log_ber")
+    def test_front_series_log_ber_axis(self, suite):
+        series = suite.record(4).result.front_series("time", "log_ber")
         assert all(-6.0 < y < 0.0 for _, y in series)
 
-    def test_front_series_rejects_unknown_axis(self, records):
+    def test_front_series_rejects_unknown_axis(self, suite):
         with pytest.raises(ExperimentError):
-            front_series(records[0], "time", "area")
+            suite.record(4).result.front_series("time", "area")
 
-    def test_pareto_table_concatenates_records(self, records):
-        rows = pareto_table(records)
-        assert len(rows) == sum(record.pareto_size for record in records)
+    def test_pareto_table_concatenates_records(self, suite):
+        rows = suite.pareto_rows()
+        assert len(rows) == sum(outcome.result.pareto_size for outcome in suite.records())
         assert {row["wavelength_count"] for row in rows} == {4, 8}
 
 
 class TestSweeps:
     def test_sweep_wavelength_counts(self):
-        records = sweep_wavelength_counts(
-            paper_task_graph(),
-            paper_mapping,
-            wavelength_counts=(4, 8),
-            genetic_parameters=TINY,
-        )
-        assert [record.wavelength_count for record in records] == [4, 8]
+        outcomes = run_all([BASE.derive(wavelength_count=count) for count in (4, 8)])
+        assert [outcome.result.wavelength_count for outcome in outcomes] == [4, 8]
 
     def test_sweep_quality_factor_degrades_ber_when_q_drops(self):
-        records = sweep_quality_factor(
-            paper_task_graph(),
-            paper_mapping,
-            quality_factors=(9600.0, 1000.0),
-            wavelength_count=8,
-            genetic_parameters=TINY,
-        )
-        assert set(records) == {9600.0, 1000.0}
+        best_log10_ber = {
+            quality_factor: execute_scenario(
+                BASE.derive(overrides={"photonic": {"quality_factor": quality_factor}})
+            ).summary().best_log10_ber
+            for quality_factor in (9600.0, 1000.0)
+        }
         # A blunter filter (low Q) leaks more crosstalk: the best reachable BER gets worse.
-        assert records[1000.0].best_log10_ber >= records[9600.0].best_log10_ber - 1e-9
+        assert best_log10_ber[1000.0] >= best_log10_ber[9600.0] - 1e-9
 
     def test_sweep_channel_setup_energy_raises_energy(self):
-        records = sweep_channel_setup_energy(
-            paper_task_graph(),
-            paper_mapping,
-            setup_energies_fj=(0.0, 6000.0),
-            wavelength_count=8,
-            genetic_parameters=TINY,
-        )
-        assert records[6000.0].best_energy_fj > records[0.0].best_energy_fj
+        best_energy = {
+            setup_energy: execute_scenario(
+                BASE.derive(overrides={"energy": {"channel_setup_energy_fj": setup_energy}})
+            ).summary().best_energy_fj
+            for setup_energy in (0.0, 6000.0)
+        }
+        assert best_energy[6000.0] > best_energy[0.0]
 
     def test_sweep_genetic_parameters(self):
-        records = sweep_genetic_parameters(
-            paper_task_graph(),
-            paper_mapping,
-            parameter_sets=[TINY, GeneticParameters(population_size=24, generations=10)],
-            wavelength_count=8,
-        )
-        assert len(records) == 2
-        assert records[1].valid_solution_count >= records[0].valid_solution_count
+        budgets = [TINY, GeneticParameters(population_size=24, generations=10)]
+        outcomes = run_all([BASE.derive(genetic=budget) for budget in budgets])
+        assert len(outcomes) == 2
+        assert outcomes[1].result.valid_solution_count >= outcomes[0].result.valid_solution_count
 
-    def test_sweep_mappings(self, architecture):
-        mappings = [
-            paper_mapping(architecture),
-            Mapping.round_robin(paper_task_graph(), architecture, stride=1),
-        ]
-        records = sweep_mappings(
-            paper_task_graph(), mappings, wavelength_count=8, genetic_parameters=TINY
+    def test_sweep_mappings(self):
+        outcomes = run_all(
+            [BASE, BASE.derive(mapping="round_robin", mapping_options={"stride": 1})]
         )
-        assert len(records) == 2
-        assert all(record.pareto_size > 0 for record in records)
+        assert len(outcomes) == 2
+        assert all(outcome.result.pareto_size > 0 for outcome in outcomes)

@@ -19,12 +19,12 @@ from repro import (
     CrosstalkScope,
     GeneticParameters,
     OnocSimulator,
-    RingOnocArchitecture,
-    WavelengthAllocator,
-    paper_mapping,
+    Scenario,
+    execute_scenario,
     paper_task_graph,
 )
-from repro.allocation import AllocationEvaluator
+from repro.allocation import AllocationEvaluator, uniform_allocation
+from repro.scenarios import build_scenario_evaluator
 from repro.models import BerModel, LinkBudget, PowerLossModel, SnrModel
 from repro.units import dbm_to_mw
 
@@ -38,11 +38,8 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_quickstart_flow(self):
-        architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=4)
-        allocator = WavelengthAllocator(
-            architecture, paper_task_graph(), paper_mapping(architecture)
-        )
-        result = allocator.explore(GeneticParameters.smoke_test())
+        scenario = Scenario(wavelength_count=4, genetic=GeneticParameters.smoke_test())
+        result = execute_scenario(scenario).result
         assert result.pareto_size >= 1
         assert result.best_by("energy").is_valid
 
@@ -98,8 +95,8 @@ class TestEvaluatorAgainstSimulator:
     def test_every_pareto_solution_replays_in_simulation(
         self, architecture, task_graph, mapping
     ):
-        allocator = WavelengthAllocator(architecture, task_graph, mapping)
-        result = allocator.explore(GeneticParameters.smoke_test())
+        outcome = execute_scenario(Scenario(genetic=GeneticParameters.smoke_test()))
+        result = outcome.result
         simulator = OnocSimulator(architecture, task_graph, mapping)
         for solution in result.pareto_solutions:
             report = simulator.run(solution.chromosome.allocation())
@@ -131,26 +128,22 @@ class TestEvaluatorAgainstSimulator:
 class TestArchitectureScaling:
     @pytest.mark.parametrize("rows,columns", [(2, 2), (3, 3), (4, 4), (4, 8)])
     def test_exploration_works_across_architecture_sizes(self, rows, columns):
-        architecture = RingOnocArchitecture.grid(rows, columns, wavelength_count=4)
-        graph = paper_task_graph()
-        if graph.task_count > architecture.core_count:
+        scenario = Scenario(
+            rows=rows,
+            columns=columns,
+            wavelength_count=4,
+            genetic=GeneticParameters.smoke_test(),
+        )
+        if paper_task_graph().task_count > rows * columns:
             pytest.skip("not enough cores for the paper application")
-        if architecture.core_count < 13:
-            from repro.application import default_mapping
-
-            mapping = default_mapping(graph, architecture, stride=1)
-        else:
-            mapping = paper_mapping(architecture)
-        allocator = WavelengthAllocator(architecture, graph, mapping)
-        result = allocator.explore(GeneticParameters.smoke_test())
+        if rows * columns < 13:
+            scenario = scenario.derive(mapping="default", mapping_options={"stride": 1})
+        result = execute_scenario(scenario).result
         assert result.pareto_size >= 1
 
     @pytest.mark.parametrize("wavelength_count", [2, 4, 8, 16])
     def test_wavelength_scaling(self, wavelength_count):
-        architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=wavelength_count)
-        allocator = WavelengthAllocator(
-            architecture, paper_task_graph(), paper_mapping(architecture)
-        )
-        solution = allocator.evaluate_uniform(1)
+        evaluator = build_scenario_evaluator(Scenario(wavelength_count=wavelength_count))
+        solution = uniform_allocation(evaluator, 1)
         assert solution.is_valid
         assert solution.objectives.execution_time_kcycles == pytest.approx(38.0)

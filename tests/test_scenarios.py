@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.allocation import WavelengthAllocator
+from repro.allocation import AllocationEvaluator, Nsga2Optimizer
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
 from repro.errors import ExperimentError, ReproError, ScenarioError
@@ -206,16 +206,14 @@ class TestBackends:
         architecture = RingOnocArchitecture.grid(4, 4, wavelength_count=8)
         task_graph = paper_task_graph()
         mapping = paper_mapping(architecture)
-        allocator = WavelengthAllocator(architecture, task_graph, mapping)
-        direct = allocator.explore(smoke_ga)
+        evaluator = AllocationEvaluator(architecture, task_graph, mapping)
+        direct = Nsga2Optimizer(evaluator, smoke_ga).run()
 
         backend = create_optimizer("nsga2")
-        via_registry = backend.run(
-            allocator.evaluator, OptimizerParameters(genetic=smoke_ga)
-        )
+        via_registry = backend.run(evaluator, OptimizerParameters(genetic=smoke_ga))
 
         assert via_registry.valid_solution_count == direct.valid_solution_count
-        assert via_registry.pareto_size == direct.pareto_size
+        assert via_registry.pareto_size == len(direct.pareto_front)
         assert [s.chromosome.genes for s in via_registry.pareto_solutions] == [
             s.chromosome.genes for s in direct.pareto_solutions
         ]
@@ -443,6 +441,8 @@ class TestPaperSuiteScenario:
         assert Scenario.from_dict(scenario.to_dict()) == scenario
 
         record = suite.record(8)
+        assert record.scenario == scenario
         outcome = execute_scenario(scenario)
-        assert record.valid_solution_count == outcome.result.valid_solution_count
-        assert record.pareto_size == outcome.result.pareto_size
+        assert record.result.valid_solution_count == outcome.result.valid_solution_count
+        assert record.result.pareto_size == outcome.result.pareto_size
+        assert record.pareto_rows() == outcome.pareto_rows()

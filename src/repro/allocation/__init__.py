@@ -8,8 +8,8 @@
 * :mod:`~repro.allocation.batch`       — the vectorized population-level
   evaluation engine every optimizer backend runs on.
 * :mod:`~repro.allocation.pareto`      — non-dominated sorting, crowding
-  distance and Pareto-front containers; each exists as a vectorized
-  NumPy-broadcast kernel plus an equivalence-tested pure-Python oracle.
+  distance and Pareto-front containers; each exists as a vectorized NumPy
+  kernel plus an equivalence-tested pure-Python oracle.
 * :mod:`~repro.allocation.nsga2`       — the NSGA-II engine (Section III-D).
 * :mod:`~repro.allocation.heuristics`  — classical baselines (random, first-fit,
   most-used, least-used, uniform).

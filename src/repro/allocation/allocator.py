@@ -152,7 +152,11 @@ class ExplorationResult:
 
     @property
     def valid_solutions(self) -> List[AllocationSolution]:
-        """Every distinct valid solution generated during the run."""
+        """Every distinct valid solution generated during the run.
+
+        An NSGA-II run materialises the rows that are neither on its front
+        nor in its final population here, on the first read (then cached).
+        """
         if self.solutions is not None:
             return list(self.solutions.values())
         return list(self.nsga2.unique_valid_solutions.values())
@@ -180,7 +184,9 @@ class ExplorationResult:
         and Fig. 6a use (time, energy), Fig. 6b and Fig. 7 use (time, BER) —
         even though the exploration itself can optimise all three objectives at
         once.  This helper recomputes the non-dominated set of the requested
-        projection from the run-wide pool of valid solutions.
+        projection from the run-wide pool of valid solutions (so a projection
+        other than the run's own keys reads, and materialises,
+        :attr:`valid_solutions`).
         """
         if tuple(objective_keys) == self.objective_keys:
             return self.pareto_front

@@ -24,7 +24,7 @@ randomized populations.  Floating-point results agree to ~1e-12 relative
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -155,6 +155,15 @@ class BatchEvaluation:
     def solutions(self) -> List[AllocationSolution]:
         """Every row materialised (convenience for small batches)."""
         return [self.solution(index) for index in range(len(self))]
+
+    def take(self, rows: Sequence[int]) -> "BatchEvaluation":
+        """The sub-batch of the given rows, in that order (arrays are copied)."""
+        index = np.asarray(rows, dtype=np.intp)
+        return replace(self, **{name: getattr(self, name)[index] for name in _ROW_ARRAYS})
+
+
+#: The per-row arrays of a :class:`BatchEvaluation` (every field but the evaluator).
+_ROW_ARRAYS = tuple(field.name for field in fields(BatchEvaluation) if field.name != "evaluator")
 
 
 class BatchEvaluator:
@@ -290,26 +299,40 @@ class BatchEvaluator:
         registry.counter("repro_batch_rows_total").inc(evaluation.genes.shape[0])
         return evaluation
 
+    def invalid_batch(self, genes: np.ndarray) -> BatchEvaluation:
+        """A batch of rows already known to be invalid, built without evaluating them.
+
+        Materialising an invalid row needs only its genes —
+        :meth:`BatchEvaluation.solution` rebuilds the validity report through
+        the scalar evaluator — so the objectives are ``inf`` and the
+        per-communication diagnostics zero.  Callers that know a row's verdict
+        (the NSGA-II memo) materialise it through this instead of evaluating
+        it again.
+        """
+        tensor = self._coerce(genes)
+        population = tensor.shape[0]
+        infinite = np.full(population, np.inf)
+        zeros = np.zeros((population, self._nl))
+        return BatchEvaluation(
+            genes=tensor,
+            wavelength_counts=tensor.sum(axis=2, dtype=np.int64),
+            valid=np.zeros(population, dtype=bool),
+            execution_time_kcycles=infinite,
+            mean_bit_error_rate=infinite.copy(),
+            bit_energy_fj=infinite.copy(),
+            per_communication_ber=zeros,
+            per_communication_energy_fj=zeros.copy(),
+            per_communication_duration_kcycles=zeros.copy(),
+            evaluator=self,
+        )
+
     def _evaluate_population(self, genes: np.ndarray) -> BatchEvaluation:
         tensor = self._coerce(genes)
         population = tensor.shape[0]
+        if population == 0:
+            return self.invalid_batch(tensor)
         genes_f = tensor.astype(float)
         counts = tensor.sum(axis=2, dtype=np.int64)
-
-        if population == 0:
-            empty = np.zeros(0)
-            return BatchEvaluation(
-                genes=tensor,
-                wavelength_counts=counts,
-                valid=np.zeros(0, dtype=bool),
-                execution_time_kcycles=empty,
-                mean_bit_error_rate=empty.copy(),
-                bit_energy_fj=empty.copy(),
-                per_communication_ber=np.zeros((0, self._nl)),
-                per_communication_energy_fj=np.zeros((0, self._nl)),
-                per_communication_duration_kcycles=np.zeros((0, self._nl)),
-                evaluator=self,
-            )
 
         # --- validity rule 1: every communication needs a wavelength.  Rows
         # violating it are still scheduled (with counts clamped to one) so the

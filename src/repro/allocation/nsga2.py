@@ -19,30 +19,38 @@ The engine is *vectorized*: the population lives as one ``(population,
 genome)`` uint8 matrix, the genetic operators act on whole matrices, and
 objective evaluation runs through the
 :class:`~repro.allocation.batch.BatchEvaluator` with a byte-fingerprint memo
-that skips chromosomes already evaluated earlier in the run.  Setting
-``engine="scalar"`` keeps the identical operators and random stream but routes
-evaluation through the readable scalar
-:class:`~repro.allocation.objectives.AllocationEvaluator` — the
-test-suite uses this to pin down batch/scalar determinism.
+that skips chromosomes already evaluated earlier in the run.  Selection builds
+one domination matrix per generation: environmental selection sorts the
+merged parent+offspring pool with it, and the survivors' block of it is the
+next generation's tournament sort.  Setting ``engine="scalar"`` keeps the
+identical operators and random stream but routes evaluation through the
+readable scalar :class:`~repro.allocation.objectives.AllocationEvaluator` and
+selection through the pure-Python oracles — the test-suite uses this to pin
+down batch/scalar determinism.
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
-of them.
+of them.  The books are a run archive of arrays (gene bytes → row of the
+objective and validity matrices); an
+:class:`~repro.allocation.objectives.AllocationSolution` is built only for the
+reported front and the final population at the end of the run, and for any
+other valid row when a caller first reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import GeneticParameters
 from ..errors import AllocationError
 from ..telemetry import MetricsRegistry, Stopwatch, get_registry, span, timed_span
+from .batch import BatchEvaluation, BatchEvaluator
 from .chromosome import Chromosome
 from .objectives import AllocationEvaluator, AllocationSolution, ObjectiveVector
-from .pareto import ParetoFront, crowding_distance, non_dominated_sort
+from .pareto import ParetoFront, crowding_distance, dominance_matrix, non_dominated_sort
 
 __all__ = ["GenerationRecord", "Nsga2Result", "Nsga2Optimizer"]
 
@@ -89,7 +97,9 @@ class Nsga2Result:
     objective_keys: Tuple[str, ...]
     final_population: List[AllocationSolution]
     pareto_front: ParetoFront[AllocationSolution]
-    unique_valid_solutions: Dict[Tuple[int, ...], AllocationSolution]
+    #: Gene tuple → solution of every distinct valid chromosome, in discovery
+    #: order; read-only, each value is materialised when first read.
+    unique_valid_solutions: Mapping[Tuple[int, ...], AllocationSolution]
     history: List[GenerationRecord] = field(default_factory=list)
     evaluations: int = 0
     memo_hits: int = 0
@@ -132,13 +142,129 @@ class Nsga2Result:
         return item
 
 
-@dataclass(frozen=True)
-class _EvalRecord:
-    """Memoised outcome of one unique chromosome."""
+class _RunArchive:
+    """Every chromosome one run evaluated, as rows of run-wide arrays.
 
-    objectives: Tuple[float, float, float]
-    valid: bool
-    solution: Optional[AllocationSolution]
+    ``rows`` is the memo: gene bytes → archive row, in discovery order;
+    ``objectives`` (time, ber, energy) and ``valid`` are indexed by row.  No
+    solution is built while the run searches.  A batch-engine row keeps its
+    place in its generation's :class:`BatchEvaluation` (restricted to the
+    valid rows) and is materialised through :meth:`BatchEvaluation.solution`
+    the first time it is read, then cached; the scalar engine hands over its
+    already-built solutions.
+    """
+
+    def __init__(self, batch: BatchEvaluator, capacity: int) -> None:
+        self.rows: Dict[bytes, int] = {}
+        self.objectives = np.empty((capacity, len(ObjectiveVector.KEYS)))
+        self.valid = np.empty(capacity, dtype=bool)
+        self.valid_count = 0
+        self._batch = batch
+        self._batches: List[BatchEvaluation] = []
+        #: Row → (index into ``_batches``, position in that batch); -1 = none.
+        self._source = np.full(capacity, -1, dtype=np.intp)
+        self._position = np.empty(capacity, dtype=np.intp)
+        self._solutions: Dict[int, AllocationSolution] = {}
+
+    def add_batch(self, keys: List[bytes], evaluation: BatchEvaluation) -> np.ndarray:
+        """Append a batch-evaluated generation; returns its valid rows."""
+        newcomers = self._append(keys, evaluation.objective_matrix(), evaluation.valid)
+        if newcomers.size:
+            self._attach(newcomers, evaluation.take(np.flatnonzero(evaluation.valid)))
+        return newcomers
+
+    def add_solutions(
+        self, keys: List[bytes], solutions: List[AllocationSolution]
+    ) -> np.ndarray:
+        """Append scalar-evaluated solutions; returns the valid rows."""
+        start = len(self.rows)
+        newcomers = self._append(
+            keys,
+            np.array([solution.objectives.as_tuple() for solution in solutions]),
+            np.array([solution.is_valid for solution in solutions], dtype=bool),
+        )
+        self._solutions.update(enumerate(solutions, start))
+        return newcomers
+
+    def _append(self, keys: List[bytes], objectives: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        start = len(self.rows)
+        stop = start + len(keys)
+        self.rows.update(zip(keys, range(start, stop)))
+        self.objectives[start:stop] = objectives
+        self.valid[start:stop] = valid
+        newcomers = start + np.flatnonzero(valid)
+        self.valid_count += newcomers.size
+        return newcomers
+
+    def _attach(self, rows: np.ndarray, evaluation: BatchEvaluation) -> None:
+        self._source[rows] = len(self._batches)
+        self._position[rows] = np.arange(len(rows))
+        self._batches.append(evaluation)
+
+    def solution(self, row: int) -> AllocationSolution:
+        """The solution of one archive row, materialised on first read."""
+        solution = self._solutions.get(row)
+        if solution is None:
+            evaluation = self._batches[self._source[row]]
+            solution = self._solutions[row] = evaluation.solution(int(self._position[row]))
+        return solution
+
+    def population(self, matrix: np.ndarray) -> List[AllocationSolution]:
+        """Solutions of a population matrix whose rows are all in the archive.
+
+        Invalid rows are kept in no batch; the ones not yet materialised are
+        wrapped in one :meth:`BatchEvaluator.invalid_batch` first.
+        """
+        rows = [self.rows[genes.tobytes()] for genes in matrix]
+        pending = {
+            row: index
+            for index, row in enumerate(rows)
+            if self._source[row] < 0 and row not in self._solutions
+        }
+        if pending:
+            self._attach(
+                np.fromiter(pending, dtype=np.intp, count=len(pending)),
+                self._batch.invalid_batch(matrix[list(pending.values())]),
+            )
+        return [self.solution(row) for row in rows]
+
+
+class _ValidSolutions(Mapping[Tuple[int, ...], AllocationSolution]):
+    """The run's distinct valid solutions: gene tuple → solution, in discovery order.
+
+    A read-only view of the run archive: lookups, ``in`` and iteration only
+    touch the memo; a value is materialised (once) when it is read.
+    """
+
+    def __init__(self, archive: _RunArchive) -> None:
+        self._archive = archive
+
+    def _row(self, genes: object) -> Optional[int]:
+        if not isinstance(genes, tuple):
+            return None
+        try:
+            row = self._archive.rows.get(bytes(genes))
+        except (TypeError, ValueError):
+            return None
+        if row is None or not self._archive.valid[row]:
+            return None
+        return row
+
+    def __getitem__(self, genes: Tuple[int, ...]) -> AllocationSolution:
+        row = self._row(genes)
+        if row is None:
+            raise KeyError(genes)
+        return self._archive.solution(row)
+
+    def __contains__(self, genes: object) -> bool:
+        return self._row(genes) is not None
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        valid = self._archive.valid
+        return (tuple(key) for key, row in self._archive.rows.items() if valid[row])
+
+    def __len__(self) -> int:
+        return self._archive.valid_count
 
 
 class Nsga2Optimizer:
@@ -190,7 +316,6 @@ class Nsga2Optimizer:
         self._kernel_engine = "vectorized" if engine == "batch" else "python"
         self._batch = evaluator.batch()
         self._rng = np.random.default_rng(self._parameters.seed)
-        self._memo: Dict[bytes, _EvalRecord] = {}
         self._genome = evaluator.communication_count * evaluator.wavelength_count
         self._objective_columns = [ObjectiveVector.KEYS.index(key) for key in keys]
         #: Run-local metrics registry: evaluations, memo hits, and the
@@ -241,8 +366,11 @@ class Nsga2Optimizer:
         parameters = self._parameters
         self._metrics = MetricsRegistry()
         registry = self._metrics
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution] = {}
-        front: ParetoFront[AllocationSolution] = ParetoFront()
+        archive = _RunArchive(
+            self._batch, parameters.population_size * (parameters.generations + 1)
+        )
+        # The run-wide front holds archive rows until the run ends.
+        front: ParetoFront[int] = ParetoFront()
         history: List[GenerationRecord] = []
 
         with span(
@@ -254,24 +382,29 @@ class Nsga2Optimizer:
             with span("engine.generation", generation=0), Stopwatch() as watch:
                 books = self._books()
                 population = self._initial_population_matrix()
-                objectives = self._evaluate_matrix(population, unique_valid, front)
+                objectives = self._evaluate_matrix(population, archive, front)
             registry.counter(GENERATIONS_METRIC).inc()
             history.append(self._record(0, objectives, front, watch.elapsed, books))
 
+            # The population's domination matrix, carried over from the last
+            # environmental selection (None: build it in the first sort).
+            dominated: Optional[np.ndarray] = None
             for generation in range(1, parameters.generations + 1):
                 with span(
                     "engine.generation", generation=generation
                 ), Stopwatch() as watch:
                     books = self._books()
-                    offspring = self._make_offspring(population, objectives)
+                    offspring = self._make_offspring(population, objectives, dominated)
                     offspring_objectives = self._evaluate_matrix(
-                        offspring, unique_valid, front
+                        offspring, archive, front
                     )
                     combined = np.concatenate([population, offspring])
                     combined_objectives = np.concatenate(
                         [objectives, offspring_objectives]
                     )
-                    selected = self._environmental_selection(combined_objectives)
+                    selected, dominated = self._environmental_selection(
+                        combined_objectives
+                    )
                     population = combined[selected]
                     objectives = combined_objectives[selected]
                 registry.counter(GENERATIONS_METRIC).inc()
@@ -279,13 +412,23 @@ class Nsga2Optimizer:
                     self._record(generation, objectives, front, watch.elapsed, books)
                 )
 
-            final_population = [self._materialize(row) for row in population]
+            with timed_span(
+                "engine.materialise",
+                metric=PHASE_METRIC,
+                registry=registry,
+                phase="materialise",
+            ):
+                final_population = archive.population(population)
+                reported: ParetoFront[AllocationSolution] = ParetoFront(
+                    items=[archive.solution(row) for row in front.items],
+                    objectives=front.objectives,
+                )
 
         result = Nsga2Result(
             objective_keys=self._objective_keys,
             final_population=final_population,
-            pareto_front=front,
-            unique_valid_solutions=unique_valid,
+            pareto_front=reported,
+            unique_valid_solutions=_ValidSolutions(archive),
             history=history,
             evaluations=int(registry.counter_value(EVALUATIONS_METRIC)),
             memo_hits=int(registry.counter_value(MEMO_HITS_METRIC)),
@@ -336,17 +479,17 @@ class Nsga2Optimizer:
     def _evaluate_matrix(
         self,
         matrix: np.ndarray,
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution],
-        front: ParetoFront[AllocationSolution],
+        archive: _RunArchive,
+        front: ParetoFront[int],
     ) -> np.ndarray:
         """Evaluate a population matrix with memoisation and book-keeping.
 
         Returns the full three-objective matrix (``inf`` rows for invalid
-        chromosomes).  Newly discovered valid chromosomes are materialised once
-        and absorbed into the run-wide books; the batch engine feeds them to
-        the run-wide Pareto front in one batched
-        :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call per
-        generation, the scalar engine adds them one by one (the oracle path).
+        chromosomes).  Memo misses are evaluated once and appended to the run
+        archive; no solution is materialised here.  The valid newcomers join
+        the run-wide Pareto front as archive rows — the batch engine in one
+        batched :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call
+        per generation, the scalar engine one by one (the oracle path).
         """
         registry = self._metrics
         with timed_span(
@@ -356,102 +499,50 @@ class Nsga2Optimizer:
             phase="evaluation",
         ):
             keys = [row.tobytes() for row in matrix]
+            memo = archive.rows
             fresh: Dict[bytes, int] = {}
             hits = 0
             for index, key in enumerate(keys):
-                if key in self._memo or key in fresh:
+                if key in memo or key in fresh:
                     hits += 1
                 else:
                     fresh[key] = index
             if hits:
                 registry.counter(MEMO_HITS_METRIC).inc(hits)
 
-            newcomers: List[AllocationSolution] = []
+            newcomers = np.zeros(0, dtype=np.intp)
             if fresh:
                 registry.counter(EVALUATIONS_METRIC).inc(len(fresh))
                 fresh_indices = list(fresh.values())
                 if self._engine == "batch":
                     evaluation = self._batch.evaluate_population(matrix[fresh_indices])
-                    for position, key in enumerate(fresh):
-                        valid = bool(evaluation.valid[position])
-                        solution = evaluation.solution(position) if valid else None
-                        record = _EvalRecord(
-                            objectives=(
-                                float(evaluation.execution_time_kcycles[position]),
-                                float(evaluation.mean_bit_error_rate[position]),
-                                float(evaluation.bit_energy_fj[position]),
-                            ),
-                            valid=valid,
-                            solution=solution,
-                        )
-                        self._store(key, record, unique_valid, newcomers)
+                    newcomers = archive.add_batch(list(fresh), evaluation)
                 else:
                     nl = self._evaluator.communication_count
                     nw = self._evaluator.wavelength_count
-                    for key, index in fresh.items():
-                        solution = self._evaluator.evaluate(
-                            Chromosome.from_numpy(matrix[index], nl, nw)
-                        )
-                        record = _EvalRecord(
-                            objectives=solution.objectives.as_tuple(),
-                            valid=solution.is_valid,
-                            solution=solution if solution.is_valid else None,
-                        )
-                        self._store(key, record, unique_valid, newcomers)
+                    solutions = [
+                        self._evaluator.evaluate(Chromosome.from_numpy(matrix[index], nl, nw))
+                        for index in fresh_indices
+                    ]
+                    newcomers = archive.add_solutions(list(fresh), solutions)
 
-            objectives = np.empty((matrix.shape[0], 3))
-            for index, key in enumerate(keys):
-                objectives[index] = self._memo[key].objectives
+            rows = np.fromiter((memo[key] for key in keys), dtype=np.intp, count=len(keys))
+            objectives = archive.objectives[rows]
 
-        if newcomers:
+        if newcomers.size:
             with timed_span(
                 "engine.selection",
                 metric=PHASE_METRIC,
                 registry=registry,
                 phase="selection",
             ):
-                pairs = [
-                    (solution, solution.objective_tuple(self._objective_keys))
-                    for solution in newcomers
-                ]
+                keyed = archive.objectives[np.ix_(newcomers, self._objective_columns)]
                 if self._engine == "batch":
-                    front.extend_array(
-                        np.asarray([objective for _, objective in pairs], dtype=float),
-                        [solution for solution, _ in pairs],
-                    )
+                    front.extend_array(keyed, newcomers.tolist())
                 else:
-                    for solution, objective in pairs:
-                        front.add(solution, objective)
+                    for row, objective in zip(newcomers.tolist(), keyed.tolist()):
+                        front.add(row, objective)
         return objectives
-
-    def _store(
-        self,
-        key: bytes,
-        record: _EvalRecord,
-        unique_valid: Dict[Tuple[int, ...], AllocationSolution],
-        newcomers: List[AllocationSolution],
-    ) -> None:
-        self._memo[key] = record
-        if record.valid and record.solution is not None:
-            genes = record.solution.chromosome.genes
-            if genes not in unique_valid:
-                unique_valid[genes] = record.solution
-                newcomers.append(record.solution)
-
-    def _materialize(self, row: np.ndarray) -> AllocationSolution:
-        """Full :class:`AllocationSolution` of one (already evaluated) row."""
-        record = self._memo[row.tobytes()]
-        if record.solution is not None:
-            return record.solution
-        chromosome = Chromosome.from_numpy(
-            row, self._evaluator.communication_count, self._evaluator.wavelength_count
-        )
-        return AllocationSolution(
-            chromosome=chromosome,
-            objectives=ObjectiveVector.infinite(),
-            validity=self._evaluator.check_validity(chromosome),
-            wavelength_counts=chromosome.wavelength_counts(),
-        )
 
     def _keyed(self, objectives: np.ndarray) -> np.ndarray:
         """Objective rows projected onto the optimised keys, as one matrix.
@@ -463,8 +554,13 @@ class Nsga2Optimizer:
         return np.ascontiguousarray(objectives[:, self._objective_columns])
 
     def _rank_and_distance(
-        self, objectives: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, objectives: np.ndarray, dominated: Optional[np.ndarray]
+    ) -> Tuple[List[int], List[float]]:
+        """Tournament keys of every row, as Python lists.
+
+        ``dominated`` is the rows' domination matrix when the previous
+        environmental selection already built it.
+        """
         with timed_span(
             "engine.selection",
             metric=PHASE_METRIC,
@@ -472,7 +568,9 @@ class Nsga2Optimizer:
             phase="selection",
         ):
             keyed = self._keyed(objectives)
-            fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+            fronts = non_dominated_sort(
+                keyed, engine=self._kernel_engine, dominated=dominated
+            )
             rank = np.zeros(len(keyed), dtype=int)
             distance = np.zeros(len(keyed))
             for front_position, front_indices in enumerate(fronts):
@@ -481,10 +579,17 @@ class Nsga2Optimizer:
                 distance[indices] = crowding_distance(
                     keyed[indices], engine=self._kernel_engine
                 )
-        return rank, distance
+        return rank.tolist(), distance.tolist()
 
-    def _environmental_selection(self, objectives: np.ndarray) -> np.ndarray:
-        """Indices of the survivors among the merged parent+offspring pool."""
+    def _environmental_selection(
+        self, objectives: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Survivors among the merged parent+offspring pool.
+
+        Returns their indices and, on the vectorized path, their block of the
+        pool's domination matrix — exactly the survivors' own domination
+        matrix, since dominance between two rows depends only on those rows.
+        """
         with timed_span(
             "engine.selection",
             metric=PHASE_METRIC,
@@ -493,7 +598,12 @@ class Nsga2Optimizer:
         ):
             target = self._parameters.population_size
             keyed = self._keyed(objectives)
-            fronts = non_dominated_sort(keyed, engine=self._kernel_engine)
+            pool_dominated = (
+                dominance_matrix(keyed) if self._kernel_engine == "vectorized" else None
+            )
+            fronts = non_dominated_sort(
+                keyed, engine=self._kernel_engine, dominated=pool_dominated
+            )
             selected: List[int] = []
             for front_indices in fronts:
                 if len(selected) + len(front_indices) <= target:
@@ -511,10 +621,16 @@ class Nsga2Optimizer:
                     front_indices[position] for position in order[:remaining]
                 )
                 break
-        return np.asarray(selected, dtype=int)
+            survivors = np.asarray(selected, dtype=int)
+            if pool_dominated is None:
+                return survivors, None
+            return survivors, pool_dominated[np.ix_(survivors, survivors)]
 
     def _make_offspring(
-        self, population: np.ndarray, objectives: np.ndarray
+        self,
+        population: np.ndarray,
+        objectives: np.ndarray,
+        dominated: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """One generation of offspring on population matrices.
 
@@ -522,8 +638,9 @@ class Nsga2Optimizer:
         historical chromosome-at-a-time implementation used, so a fixed seed
         reproduces the same populations it produced; the gene work itself
         (segment swaps, bit flips) is applied to whole matrices at once.
+        ``dominated`` is the population's domination matrix, when known.
         """
-        rank, distance = self._rank_and_distance(objectives)
+        rank, distance = self._rank_and_distance(objectives, dominated)
         with timed_span(
             "engine.operator",
             metric=PHASE_METRIC,
@@ -565,14 +682,13 @@ class Nsga2Optimizer:
                 offspring = np.where(flips, 1 - offspring, offspring).astype(np.uint8)
         return np.ascontiguousarray(offspring)
 
-    def _tournament(self, rank: np.ndarray, distance: np.ndarray) -> int:
+    def _tournament(self, rank: List[int], distance: List[float]) -> int:
         """Binary (or larger) tournament on (rank, crowding distance)."""
         contenders = self._rng.integers(
             0, len(rank), size=self._parameters.tournament_size
-        )
-        best = int(contenders[0])
+        ).tolist()
+        best = contenders[0]
         for contender in contenders[1:]:
-            contender = int(contender)
             if rank[contender] < rank[best]:
                 best = contender
             elif rank[contender] == rank[best] and distance[contender] > distance[best]:
@@ -593,7 +709,7 @@ class Nsga2Optimizer:
         self,
         generation: int,
         objectives: np.ndarray,
-        front: ParetoFront[AllocationSolution],
+        front: ParetoFront[int],
         wall_clock_seconds: float,
         books_before: Tuple[float, float, float, float, float],
     ) -> GenerationRecord:

@@ -22,11 +22,20 @@ implementations:
   summation order of the crowding distances.
 * **Vectorized kernels** — :func:`non_dominated_sort_numpy` /
   :func:`crowding_distance_numpy` compute the same results through NumPy
-  broadcasts (one pairwise ``<=``/``<`` domination matrix, iterative front
-  peeling; per-objective ``argsort`` + neighbour-gap ``diff``).  They are
-  constructed to reproduce the oracle bit for bit — identical front index
-  order, distances to 0 ulp — and the randomized equivalence suite in
-  ``tests/test_selection_kernels.py`` pins that down.
+  (one pairwise domination matrix, iterative front peeling; per-objective
+  ``argsort`` + neighbour-gap ``diff``).  They are constructed to reproduce
+  the oracle bit for bit — identical front index order, distances to 0 ulp —
+  and the randomized equivalence suite in ``tests/test_selection_kernels.py``
+  pins that down.
+
+Every pairwise comparison — :func:`dominance_matrix` and the batched
+:meth:`ParetoFront.extend_array` — goes through one kernel, ``_no_worse``,
+which builds the ``(N, K)`` "no worse in every objective" table column by
+column, so no ``(N, K, M)`` temporary is ever allocated.  A caller that
+already holds the domination matrix of a pool (NSGA-II keeps the survivors'
+block of the previous generation's matrix) hands it to
+:func:`non_dominated_sort` through ``dominated=`` instead of rebuilding it:
+dominance between two rows depends only on those two rows.
 
 The public :func:`non_dominated_sort` / :func:`crowding_distance` entry points
 dispatch to the vectorized kernels by default; ``engine="python"`` selects the
@@ -36,7 +45,7 @@ oracle (the GA's ``engine="scalar"`` plumbing routes through it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -60,8 +69,8 @@ _KERNEL_ENGINES = ("vectorized", "python")
 #: Finite stand-in for infinite objectives inside the crowding computation.
 _INF_CLAMP = 1.0e300
 
-#: Candidates per internal broadcast chunk of :meth:`ParetoFront.extend_array`
-#: (bounds the ``O(chunk² · M)`` comparison tensors however large the batch is).
+#: Candidates per internal chunk of :meth:`ParetoFront.extend_array` (bounds
+#: the ``O(chunk²)`` comparison tables however large the batch is).
 _EXTEND_CHUNK = 1024
 
 
@@ -92,6 +101,22 @@ def _dominates_unchecked(first: Sequence[float], second: Sequence[float]) -> boo
     return strictly_better
 
 
+def _no_worse(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``result[i, j]`` is True when ``first[i] <= second[j]`` in every objective.
+
+    Built one objective column at a time (``&=`` of an ``(N, K)`` comparison),
+    so no ``(N, K, M)`` temporary is allocated.
+    """
+    if first.shape[1] == 0:
+        return np.ones((first.shape[0], second.shape[0]), dtype=bool)
+    first_columns = np.ascontiguousarray(first.T)
+    second_columns = np.ascontiguousarray(second.T)
+    result = first_columns[0][:, None] <= second_columns[0]
+    for first_column, second_column in zip(first_columns[1:], second_columns[1:]):
+        result &= first_column[:, None] <= second_column
+    return result
+
+
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     """Pairwise domination of an ``(N, M)`` objective matrix as an ``(N, N)`` bool array.
 
@@ -103,14 +128,16 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     matrix = np.asarray(objectives, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("the objective matrix must be two-dimensional")
-    # One (N, N, M) comparison suffices: with no_worse[p, q] = all(p <= q),
-    # "p strictly beats q somewhere" is exactly ~no_worse[q, p].
-    no_worse = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=-1)
+    # With no_worse[p, q] = all(p <= q), "p strictly beats q somewhere" is
+    # exactly ~no_worse[q, p].
+    no_worse = _no_worse(matrix, matrix)
     return no_worse & ~no_worse.T
 
 
 def non_dominated_sort(
-    objectives: Sequence[Sequence[float]], engine: str = "vectorized"
+    objectives: Sequence[Sequence[float]],
+    engine: str = "vectorized",
+    dominated: Optional[np.ndarray] = None,
 ) -> List[List[int]]:
     """Fast non-dominated sort of Deb et al.
 
@@ -120,9 +147,13 @@ def non_dominated_sort(
         One objective vector per solution (all minimised); any sequence of
         sequences or an ``(N, M)`` array.
     engine:
-        ``"vectorized"`` (default) runs the NumPy-broadcast kernel,
-        ``"python"`` the pure-Python oracle.  Both produce identical fronts in
-        identical index order.
+        ``"vectorized"`` (default) runs the NumPy kernel, ``"python"`` the
+        pure-Python oracle.  Both produce identical fronts in identical index
+        order.
+    dominated:
+        The :func:`dominance_matrix` of ``objectives`` when the caller already
+        has it; the vectorized kernel then skips building it (the oracle
+        ignores it).
 
     Returns
     -------
@@ -138,7 +169,7 @@ def non_dominated_sort(
     count = len(objectives)
     if count == 0:
         return []
-    return non_dominated_sort_numpy(np.asarray(objectives, dtype=float))
+    return non_dominated_sort_numpy(np.asarray(objectives, dtype=float), dominated)
 
 
 def non_dominated_sort_python(
@@ -177,21 +208,31 @@ def non_dominated_sort_python(
     return fronts
 
 
-def non_dominated_sort_numpy(objectives: np.ndarray) -> List[List[int]]:
+def non_dominated_sort_numpy(
+    objectives: np.ndarray, dominated: Optional[np.ndarray] = None
+) -> List[List[int]]:
     """Vectorized non-dominated sort over an ``(N, M)`` objective matrix.
 
-    One broadcast builds the full domination matrix, then fronts are peeled
-    iteratively: the solutions whose remaining domination count reaches zero
-    form the next front.  The emitted index order reproduces Deb's book-keeping
-    exactly — the oracle appends a solution the moment its *last* dominator in
-    the current front is processed, so each peeled front is ordered by
-    ``(position of that last dominator within the current front, index)``.
+    The domination matrix (built by :func:`dominance_matrix` unless the caller
+    passes it as ``dominated``) gives each solution's domination count, then
+    fronts are peeled iteratively: the solutions whose remaining domination
+    count reaches zero form the next front.  The emitted index order
+    reproduces Deb's book-keeping exactly — the oracle appends a solution the
+    moment its *last* dominator in the current front is processed, so each
+    peeled front is ordered by ``(position of that last dominator within the
+    current front, index)``.
     """
     matrix = np.asarray(objectives, dtype=float)
     count = matrix.shape[0]
     if count == 0:
         return []
-    dominated = dominance_matrix(matrix)
+    if dominated is None:
+        dominated = dominance_matrix(matrix)
+    elif dominated.shape != (count, count):
+        raise ValueError(
+            f"a domination matrix of shape {dominated.shape} does not fit "
+            f"{count} objective rows"
+        )
     counts = dominated.sum(axis=0)
     current = np.flatnonzero(counts == 0)
     fronts: List[List[int]] = [current.tolist()]
@@ -326,16 +367,17 @@ class ParetoFront(Generic[T]):
     def extend_array(
         self, objectives_matrix: Sequence[Sequence[float]], items: Sequence[T]
     ) -> int:
-        """Batched insertion: dominance against the front in one broadcast.
+        """Batched insertion: dominance against the front in whole tables.
 
         Equivalent to calling :meth:`add` for every ``(item, row)`` pair in
         order — the resulting front holds the same items in the same order —
         but the candidate-vs-front and candidate-vs-candidate comparisons run
-        as whole-matrix broadcasts instead of per-item rescans.  Because Pareto
-        dominance is transitive, a candidate survives the sequential insertion
-        exactly when no front member dominates or equals it, no other candidate
-        dominates it, and no *earlier* candidate equals it; evicted front
-        members are exactly those dominated by a surviving candidate.
+        as whole-table ``_no_worse`` kernels instead of per-item rescans.
+        Because Pareto dominance is transitive, a candidate survives the
+        sequential insertion exactly when no front member dominates or equals
+        it, no other candidate dominates it, and no *earlier* candidate equals
+        it; evicted front members are exactly those dominated by a surviving
+        candidate.
 
         Returns the number of candidates that are part of the front afterwards
         (unlike :meth:`extend`, candidates that would only have joined
@@ -368,12 +410,12 @@ class ParetoFront(Generic[T]):
             # front_le[e, c]: front member e is no worse than candidate c in
             # every objective — i.e. e dominates *or equals* c, the exact
             # rejection condition of a sequential :meth:`add`.
-            front_le = (existing[:, None, :] <= candidates[None, :, :]).all(axis=-1)
+            front_le = _no_worse(existing, candidates)
             rejected |= front_le.any(axis=0)
         # cand_le[p, q]: candidate p no worse than candidate q everywhere.
         # p dominates q iff cand_le[p, q] and not cand_le[q, p]; p equals q
         # iff both hold.
-        cand_le = (candidates[:, None, :] <= candidates[None, :, :]).all(axis=-1)
+        cand_le = _no_worse(candidates, candidates)
         rejected |= (cand_le & ~cand_le.T).any(axis=0)  # dominated by another candidate
         equal = cand_le & cand_le.T
         rejected |= np.triu(equal, 1).any(axis=0)  # duplicate of an earlier candidate
@@ -383,7 +425,7 @@ class ParetoFront(Generic[T]):
         if self.objectives:
             # Winner w dominates front member e iff e >= w everywhere
             # (front_ge) without e <= w everywhere (front_le).
-            front_ge = (existing[:, None, :] >= candidates[None, accepted, :]).all(axis=-1)
+            front_ge = _no_worse(candidates[accepted], existing).T
             evicted = (front_ge & ~front_le[:, accepted]).any(axis=1)
             if evicted.any():
                 survivors = np.flatnonzero(~evicted)

@@ -7,7 +7,8 @@ scenario document).  It is the durable
 :class:`~repro.store.backend.StoreBackend` implementation:
 
 * **Durability & sharing** — the database runs in WAL journal mode with a
-  busy timeout, and every write is an upsert-by-fingerprint, so parallel
+  busy timeout (opening retries while another process initialises a fresh
+  file), and every write is an upsert-by-fingerprint, so parallel
   :class:`~repro.scenarios.study.Study` workers and multiple processes can
   point at the same file without clobbering each other.
 * **Schema versioning** — the ``store_meta`` table pins :data:`STORE_SCHEMA`;
@@ -126,6 +127,10 @@ CREATE INDEX IF NOT EXISTS jobs_claim_idx
 """
 
 
+#: Pause between attempts to initialise a file another process is initialising.
+_INITIALISE_RETRY_SECONDS = 0.05
+
+
 class ResultStore:
     """Content-addressed SQLite store of scenario results (see module docs)."""
 
@@ -143,7 +148,7 @@ class ResultStore:
             raise StoreError(f"cannot open result store {self._path}: {error}") from None
         self._connection.row_factory = sqlite3.Row
         try:
-            self._initialise(timeout)
+            self._initialise_retrying(timeout)
         except sqlite3.Error as error:
             self._connection.close()
             raise StoreError(
@@ -152,6 +157,26 @@ class ResultStore:
         except StoreError:
             self._connection.close()
             raise
+
+    def _initialise_retrying(self, timeout: float) -> None:
+        """:meth:`_initialise`, retried while another process initialises the file.
+
+        SQLite reports a lock held by a concurrent initialiser (two processes
+        opening one fresh file) as ``database is locked`` at once, without
+        waiting out the busy timeout.  Every statement of :meth:`_initialise`
+        is idempotent, so the whole block is retried, pausing
+        :data:`_INITIALISE_RETRY_SECONDS` between attempts, for up to
+        ``timeout`` seconds of pauses.
+        """
+        attempts = max(1, int(timeout / _INITIALISE_RETRY_SECONDS))
+        for attempt in range(attempts):
+            try:
+                self._initialise(timeout)
+                return
+            except sqlite3.OperationalError as error:
+                if "database is locked" not in str(error) or attempt == attempts - 1:
+                    raise
+            time.sleep(_INITIALISE_RETRY_SECONDS)
 
     def _initialise(self, timeout: float) -> None:
         with self._lock, self._connection:

@@ -11,8 +11,10 @@ until the job's attempt budget is spent.
 :class:`WorkerPool` fans the same loop out over N OS processes, each with its
 own :class:`~repro.store.sqlite.ResultStore` connection to the shared SQLite
 file; the WAL journal plus the conditional-UPDATE claim make that safe.  Both
-honour a stop event (``repro work`` wires SIGINT/SIGTERM to it): the
-in-flight job finishes, only *claiming* stops.  A hard interrupt inside a job
+honour a stop request (``repro work`` wires SIGINT/SIGTERM to it): the
+in-flight job finishes, only *claiming* stops.  A stop request only sets a
+plain attribute the loop checks each turn, so it is safe inside a signal
+handler and takes effect within one poll interval.  A hard interrupt inside a job
 (:class:`KeyboardInterrupt` when the library is used directly) releases the
 lease so the job re-queues without burning an attempt.
 """
@@ -135,15 +137,22 @@ class Worker:
         self.backoff_factor = float(backoff_factor)
         self.backoff_cap = float(backoff_cap)
         self._stop = threading.Event() if stop is None else stop
+        self._stop_requested = False
         self.stats = WorkerStats()
 
     def stop(self) -> None:
-        """Ask the loop to exit once the in-flight job (if any) finishes."""
-        self._stop.set()
+        """Ask the loop to exit once the in-flight job (if any) finishes.
+
+        Only a plain attribute is set, so this is safe in a signal handler:
+        setting the event would take its lock, which the interrupted thread
+        may be holding inside ``wait`` — a deadlock.  The loop sees the
+        request within one ``poll_interval``.
+        """
+        self._stop_requested = True
 
     @property
     def stopping(self) -> bool:
-        return self._stop.is_set()
+        return self._stop_requested or self._stop.is_set()
 
     # ------------------------------------------------------------------ one job
     def process_one(self) -> Optional[Job]:
@@ -267,7 +276,7 @@ class Worker:
         """
         processed = 0
         idle_since: Optional[float] = None
-        while not self._stop.is_set():
+        while not self.stopping:
             job = self.process_one()
             if job is not None:
                 processed += 1
@@ -299,11 +308,22 @@ def _pool_worker(
     """Child-process entry point: open an own store, run one worker loop."""
     import signal
 
-    # First SIGINT/SIGTERM: finish the in-flight job, then exit cleanly.
+    worker: Optional[Worker] = None
+    requested = False
+
+    def request_stop(*_: Any) -> None:
+        # First SIGINT/SIGTERM: finish the in-flight job, then exit cleanly.
+        # Plain attributes only (see Worker.stop); a signal that lands before
+        # the worker exists is handed over once it does.
+        nonlocal requested
+        requested = True
+        if worker is not None:
+            worker.stop()
+
     for signame in ("SIGINT", "SIGTERM"):
         signum = getattr(signal, signame, None)
         if signum is not None:
-            signal.signal(signum, lambda *_: stop.set())
+            signal.signal(signum, request_stop)
 
     from .sqlite import ResultStore
 
@@ -314,6 +334,8 @@ def _pool_worker(
     set_registry(local)
     with ResultStore(path) as store:
         worker = Worker(store, stop=stop, **options)
+        if requested:
+            worker.stop()
         stats = worker.run(**run_options)
     stats.registry = local.snapshot()
     results.put(stats.to_dict())
@@ -341,11 +363,17 @@ class WorkerPool:
 
         self._context = multiprocessing.get_context()
         self._stop = self._context.Event()
+        self._stop_requested = False
         self._processes: List[Any] = []
 
     def stop(self) -> None:
-        """Ask every worker to exit after its in-flight job."""
-        self._stop.set()
+        """Ask every worker to exit after its in-flight job.
+
+        Signal-safe like :meth:`Worker.stop`: only a flag is set here, and
+        :meth:`run` passes it on to the children's shared event while it
+        waits for them.
+        """
+        self._stop_requested = True
 
     def run(
         self,
@@ -371,8 +399,13 @@ class WorkerPool:
         for process in self._processes:
             process.start()
         merged = WorkerStats()
+        poll_interval = float(self.worker_options.get("poll_interval", 0.2))
         for process in self._processes:
-            process.join()
+            process.join(poll_interval)
+            while process.is_alive():
+                if self._stop_requested:
+                    self._stop.set()
+                process.join(poll_interval)
         import queue as queue_module
 
         self.child_stats = []

@@ -802,8 +802,8 @@ class TestGracefulShutdown:
             banner = child.stdout.readline()
             assert "SIGINT/SIGTERM to stop" in banner
             child.send_signal(signum)
-            output = child.stdout.read()
-            assert child.wait(timeout=30) == 0
+            output, _ = child.communicate(timeout=30)
+            assert child.returncode == 0
         finally:
             if child.poll() is None:  # pragma: no cover - cleanup on failure
                 child.kill()
@@ -836,8 +836,8 @@ class TestGracefulShutdown:
             banner = child.stdout.readline()
             assert "serving result store" in banner
             child.send_signal(signal.SIGTERM)
-            output = child.stdout.read()
-            assert child.wait(timeout=30) == 0
+            output, _ = child.communicate(timeout=30)
+            assert child.returncode == 0
         finally:
             if child.poll() is None:  # pragma: no cover - cleanup on failure
                 child.kill()

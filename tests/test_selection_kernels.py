@@ -181,6 +181,63 @@ class TestFrontBatchedExtend:
             front.extend_array(np.zeros((1, 3)), ["wrong-width"])
 
 
+def broadcast_dominance_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The historical ``(N, N, M)`` broadcast the column-wise kernel replaced."""
+    no_worse = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=-1)
+    return no_worse & ~no_worse.T
+
+
+#: Pool sizes of the kernel equivalence checks: degenerate up to a paper pool.
+POOL_SIZES = [0, 1, 2, 50, 800]
+
+
+class TestColumnwiseKernel:
+    """The column-wise comparison kernel against the broadcast reference."""
+
+    @pytest.mark.parametrize("objectives", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", POOL_SIZES)
+    def test_dominance_matrix_equals_broadcast(self, count, objectives):
+        rng = np.random.default_rng(1000 * count + objectives)
+        for _ in range(3):
+            matrix = random_objective_matrix(rng, count, objectives)
+            table = dominance_matrix(matrix)
+            assert table.dtype == bool and table.shape == (count, count)
+            assert np.array_equal(table, broadcast_dominance_matrix(matrix))
+
+    @pytest.mark.parametrize("objectives", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", POOL_SIZES)
+    def test_sort_on_a_submatrix_equals_a_fresh_sort(self, count, objectives):
+        rng = np.random.default_rng(2000 * count + objectives)
+        matrix = random_objective_matrix(rng, count, objectives)
+        dominated = dominance_matrix(matrix)
+        for _ in range(3):
+            # A random subset in random order, like NSGA-II's survivors.
+            selected = rng.permutation(count)[: int(rng.integers(0, count + 1))]
+            subset = matrix[selected]
+            block = dominated[np.ix_(selected, selected)]
+            assert non_dominated_sort(subset, dominated=block) == non_dominated_sort(subset)
+
+    @pytest.mark.parametrize("objectives", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", POOL_SIZES)
+    def test_extend_array_equals_sequential_adds(self, count, objectives):
+        rng = np.random.default_rng(3000 * count + objectives)
+        matrix = random_objective_matrix(rng, count, objectives)
+        expected: ParetoFront[int] = ParetoFront()
+        for index, row in enumerate(matrix):
+            expected.add(index, tuple(row))
+        batched: ParetoFront[int] = ParetoFront()
+        half = count // 2  # the second half meets a populated front
+        batched.extend_array(matrix[:half], list(range(half)))
+        batched.extend_array(matrix[half:], list(range(half, count)))
+        assert batched.items == expected.items
+        assert batched.objectives == expected.objectives
+
+    def test_mismatched_domination_matrix_rejected(self):
+        matrix = np.asarray([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+        with pytest.raises(ValueError):
+            non_dominated_sort(matrix, dominated=dominance_matrix(matrix[:2]))
+
+
 class TestConsumerRegression:
     """The fast path must not change what exhaustive search and analysis report."""
 

@@ -175,6 +175,31 @@ class TestResultStore:
             with pytest.raises(StoreError, match="not valid JSON"):
                 store.get(smoke_result.fingerprint)
 
+    def test_open_retries_while_another_process_initialises(self, tmp_path, monkeypatch):
+        # Two processes opening one fresh file: SQLite reports the other
+        # initialiser's lock as "database is locked" at once.
+        original = ResultStore._initialise
+        refused = []
+
+        def locked_twice(store, timeout):
+            if len(refused) < 2:
+                refused.append(timeout)
+                raise sqlite3.OperationalError("database is locked")
+            original(store, timeout)
+
+        monkeypatch.setattr(ResultStore, "_initialise", locked_twice)
+        with ResultStore(tmp_path / "fresh.sqlite") as store:
+            assert len(store) == 0
+        assert len(refused) == 2
+
+    def test_open_gives_up_on_a_lock_after_its_timeout(self, tmp_path, monkeypatch):
+        def always_locked(store, timeout):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(ResultStore, "_initialise", always_locked)
+        with pytest.raises(StoreError, match="database is locked"):
+            ResultStore(tmp_path / "held.sqlite", timeout=0.2)
+
     def test_two_processes_writing_the_same_fingerprint(self, tmp_path, smoke_result):
         path = str(tmp_path / "shared.sqlite")
         document = smoke_result.to_dict()

@@ -65,7 +65,6 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -1109,24 +1108,17 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"cannot bind {args.host}:{args.port}: {error}"
         ) from None
-    stopping = threading.Event()
-
-    def request_shutdown() -> None:
-        if stopping.is_set():
-            return
-        stopping.set()
-        # shutdown() blocks until serve_forever returns, so it must not run
-        # on the thread that is inside serve_forever (the signal handler's).
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = _install_signal_handlers(request_shutdown)
+    # The handler only sets a flag (see StoreHTTPServer.stop); the store is
+    # closed after server_close() has joined the in-flight requests, so the
+    # buffered touches of every answered GET are written.
+    previous = _install_signal_handlers(server.stop)
     host, port = server.server_address[:2]
     print(
         f"serving result store {args.store} ({len(store)} result(s)) "
         f"at http://{host}:{port}/api/v1 — Ctrl-C to stop"
     )
     try:
-        server.serve_forever()
+        server.run()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     finally:

@@ -17,9 +17,11 @@ sharing behind the same protocol.
 
 from __future__ import annotations
 
+import json
 import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
+from ..errors import StoreError
 from ..telemetry import get_registry
 from .jobs import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS, Job, MemoryJobQueue
 
@@ -27,7 +29,38 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
     from ..scenarios.scenario import Scenario
     from ..scenarios.study import ScenarioResult
 
-__all__ = ["MemoryStore", "StoreBackend"]
+__all__ = ["MemoryStore", "StoreBackend", "decode_result"]
+
+
+def decode_result(fingerprint: str, document: str) -> "ScenarioResult":
+    """The stored JSON text of ``fingerprint`` as a :class:`ScenarioResult`.
+
+    The one integrity check every reader of stored text shares: the text
+    must be valid JSON, decode to a ``ScenarioResult``, and carry the
+    fingerprint it is stored under.  Anything else is a corrupt row and
+    raises :class:`~repro.errors.StoreError`.
+    """
+    from ..scenarios.study import ScenarioResult
+
+    try:
+        payload = json.loads(document)
+    except json.JSONDecodeError as error:
+        raise StoreError(
+            f"stored document for {fingerprint!r} is not valid JSON: {error}"
+        ) from None
+    try:
+        result = ScenarioResult.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as error:
+        raise StoreError(
+            f"stored document for {fingerprint!r} does not decode to a "
+            f"ScenarioResult: {error}"
+        ) from None
+    if result.fingerprint != fingerprint:
+        raise StoreError(
+            f"stored document under {fingerprint!r} carries fingerprint "
+            f"{result.fingerprint!r}; the store row is corrupt"
+        )
+    return result
 
 
 @runtime_checkable
@@ -52,12 +85,21 @@ class StoreBackend(Protocol):
     def peek(self, fingerprint: str) -> Optional["ScenarioResult"]:
         """Like :meth:`get` but without touching the hit/miss/recency stats."""
 
+    def document(self, fingerprint: str) -> Optional[str]:
+        """The stored JSON text of ``fingerprint``, or ``None``.
+
+        No stats, recency or version policy, and no decoding: the HTTP
+        service answers from this text and checks it with
+        :func:`decode_result` once per distinct text.
+        """
+
     def touch(self, fingerprint: str) -> None:
         """Mark an entry as used (hit + recency) without reading or policy.
 
-        The HTTP service pairs this with :meth:`peek`: archived entries are
-        served regardless of :meth:`get`'s freshness policy, yet still count
-        as usage so LRU gc never evicts what is actively being answered.
+        The HTTP service pairs this with :meth:`peek` or :meth:`document`:
+        archived entries are served regardless of :meth:`get`'s freshness
+        policy, yet still count as usage so LRU gc never evicts what is
+        actively being answered.
         """
 
     def put(self, result: "ScenarioResult") -> None:
@@ -188,6 +230,10 @@ class MemoryStore(MemoryJobQueue):
 
     def peek(self, fingerprint: str) -> Optional["ScenarioResult"]:
         return self._results.get(fingerprint)
+
+    def document(self, fingerprint: str) -> Optional[str]:
+        result = self._results.get(fingerprint)
+        return None if result is None else json.dumps(result.to_dict())
 
     def touch(self, fingerprint: str) -> None:
         if fingerprint in self._results:

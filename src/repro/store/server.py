@@ -32,20 +32,33 @@ Endpoints (all JSON):
 ====================================  =========================================
 
 Every error path answers with the same JSON envelope
-(``{"error": ..., "status": ...}``): expected conditions map to 400/404/409,
-and any uncaught handler exception is converted into a 500 envelope instead
-of a raw traceback.
+(``{"error": ..., "status": ...}``): expected conditions map to
+400/404/409/413, and any uncaught handler exception is converted into a 500
+envelope instead of a raw traceback.
+
+``GET /results/<fp>`` and ``/pareto`` answer from the stored JSON text
+(:meth:`~repro.store.backend.StoreBackend.document`) in compact form: the
+document route writes the text itself, the Pareto route a body built once
+per stored text.  The server remembers, per (fingerprint, SHA-256 of the
+text), that the text passed :func:`~repro.store.backend.decode_result`, so a
+warm GET neither decodes nor re-encodes; a re-put row has a new digest and
+is checked again, and a corrupt row still answers the 500 envelope.
 
 Built on :class:`http.server.ThreadingHTTPServer`, so it has no dependencies
 beyond the standard library; the store's internal lock makes the concurrent
-handler threads safe.
+handler threads safe.  Request bodies are capped at :data:`MAX_BODY_BYTES`
+and idle connections time out after :data:`REQUEST_TIMEOUT_SECONDS`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
+import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import JobError, ReproError, ScenarioError, StoreError
@@ -53,13 +66,28 @@ from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import Stopwatch, get_registry, render_prometheus
 from ..telemetry.prometheus import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .backend import StoreBackend
+from .backend import StoreBackend, decode_result
 from .jobs import DEFAULT_MAX_ATTEMPTS, Job, enqueue_submission
 
 __all__ = ["StoreHTTPServer", "create_server", "serve"]
 
 #: URL prefix of every API route.
 API_PREFIX = "/api/v1"
+
+#: Largest request body the server reads; a longer ``Content-Length``
+#: answers 413 before any of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a connection may stay silent before its handler thread gives up.
+REQUEST_TIMEOUT_SECONDS = 10.0
+
+#: Stored texts whose validation and Pareto body the server remembers.
+SERVED_MEMO_ENTRIES = 256
+
+#: How often :meth:`StoreHTTPServer.run` checks for a stop request (seconds).
+STOP_POLL_SECONDS = 0.1
+
+_JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 _ENDPOINTS = [
     "GET  /metrics",
@@ -80,10 +108,58 @@ _ENDPOINTS = [
 ]
 
 
-class StoreHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one result store."""
+class _RequestError(Exception):
+    """A malformed request: answered with ``status`` and the JSON envelope."""
 
-    daemon_threads = True
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Served(NamedTuple):
+    """What one validated stored text answers."""
+
+    #: The ``/results`` body when the stored dict is not what ``to_dict``
+    #: gives (a row written by an older version); ``None`` serves the text.
+    document: Optional[bytes]
+    #: The ``/pareto`` body.
+    pareto: bytes
+
+
+def _json_body(payload: Any) -> bytes:
+    """Compact JSON plus a newline, the form of the stored documents."""
+    return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def _pareto_payload(result: ScenarioResult) -> Dict[str, Any]:
+    return {
+        "fingerprint": result.fingerprint,
+        "name": result.name,
+        "objective_keys": list(result.objective_keys),
+        "pareto_rows": [dict(row) for row in result.pareto_rows],
+    }
+
+
+def _validate(fingerprint: str, text: str) -> _Served:
+    """Full decode checks of a stored text (StoreError if it is corrupt)."""
+    result = decode_result(fingerprint, text)
+    canonical = result.to_dict()
+    return _Served(
+        document=None if canonical == json.loads(text) else _json_body(canonical),
+        pareto=_json_body(_pareto_payload(result)),
+    )
+
+
+class StoreHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server bound to one result store.
+
+    :meth:`run` serves until :meth:`stop`.  Request threads are not daemons,
+    so ``server_close`` waits for the in-flight requests (each bounded by
+    :data:`REQUEST_TIMEOUT_SECONDS` of silence): every answered request is
+    complete on the wire, and closing the store afterwards writes its touch.
+    """
+
+    daemon_threads = False
 
     def __init__(
         self,
@@ -93,12 +169,64 @@ class StoreHTTPServer(ThreadingHTTPServer):
     ) -> None:
         self.store = store
         self.quiet = quiet
+        self._stop_requested = False
+        self._served: "OrderedDict[Tuple[str, bytes], _Served]" = OrderedDict()
+        self._served_lock = threading.Lock()
         super().__init__(address, _StoreRequestHandler)
+
+    def served(self, fingerprint: str, text: str, data: bytes) -> _Served:
+        """The validated answers of a stored text (``data`` is its UTF-8).
+
+        Memoised per (fingerprint, SHA-256 of the text) with at most
+        :data:`SERVED_MEMO_ENTRIES` entries, least recently used out first.
+        A text that fails the checks is never remembered.
+        """
+        key = (fingerprint, hashlib.sha256(data).digest())
+        with self._served_lock:
+            served = self._served.get(key)
+            if served is not None:
+                self._served.move_to_end(key)
+                return served
+        served = _validate(fingerprint, text)
+        with self._served_lock:
+            self._served[key] = served
+            while len(self._served) > SERVED_MEMO_ENTRIES:
+                self._served.popitem(last=False)
+        return served
+
+    def stop(self) -> None:
+        """Ask :meth:`run` to return; safe inside a signal handler.
+
+        Only a plain attribute is set.  Setting an event or starting a
+        thread here could deadlock: the interrupted thread may hold
+        threading's internal locks, e.g. inside ``Thread.start()``.
+        """
+        self._stop_requested = True
+
+    def run(self) -> None:
+        """Serve until :meth:`stop` (the ``repro serve`` loop).
+
+        ``serve_forever`` runs on a helper thread while this thread polls
+        the stop flag every :data:`STOP_POLL_SECONDS`, then shuts the loop
+        down and joins it.
+        """
+        loop = threading.Thread(
+            target=self.serve_forever, args=(STOP_POLL_SECONDS,), daemon=True
+        )
+        loop.start()
+        try:
+            while not self._stop_requested and loop.is_alive():
+                time.sleep(STOP_POLL_SECONDS)
+        finally:
+            self.shutdown()
+            loop.join()
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-store/1"
     server: StoreHTTPServer
+    # A client that connects and then stays silent gives its thread back.
+    timeout = REQUEST_TIMEOUT_SECONDS
 
     # ------------------------------------------------------------------ plumbing
     def log_request(self, code: Any = "-", size: Any = "-") -> None:
@@ -110,14 +238,18 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:  # pragma: no cover - exercised manually
             super().log_message(format, *args)
 
-    def _send_json(self, payload: Any, status: int = 200) -> None:
+    def _send_body(
+        self, body: bytes, status: int = 200, content_type: str = _JSON_CONTENT_TYPE
+    ) -> None:
         self._response_status = status
-        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, payload: Any, status: int = 200) -> None:
+        self._send_body(json.dumps(payload, indent=2).encode("utf-8") + b"\n", status)
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message, "status": status}, status=status)
@@ -140,12 +272,49 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self.server.store.touch(fingerprint)
         return result
 
+    def _send_stored(self, fingerprint: str, pareto: bool) -> None:
+        """``/results/<fp>`` or its ``/pareto`` from the stored JSON text.
+
+        Like :meth:`_result_or_404` this counts as usage (touch) and ignores
+        the version policy; the text is validated before it is touched.
+        """
+        store = self.server.store
+        text = store.document(fingerprint)
+        if text is None:
+            self._send_error_json(
+                404, f"no result stored under fingerprint {fingerprint!r}"
+            )
+            return
+        data = text.encode("utf-8")
+        served = self.server.served(fingerprint, text, data)
+        store.touch(fingerprint)
+        if pareto:
+            self._send_body(served.pareto)
+        elif served.document is not None:
+            self._send_body(served.document)
+        else:
+            self._send_body(data + b"\n")
+
     def _read_body_json(self) -> Any:
-        """The request body decoded as JSON; raises ScenarioError on junk."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
+        """The request body decoded as JSON; raises ScenarioError on junk.
+
+        A ``Content-Length`` that is not a non-negative integer answers 400,
+        and one above :data:`MAX_BODY_BYTES` 413, before the body is read.
+        """
+        text = self.headers.get("Content-Length", "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            raise _RequestError(
+                400, f"Content-Length must be a non-negative integer, got {text!r}"
+            )
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            # The unread body makes the connection unusable for another request.
+            self.close_connection = True
+            raise _RequestError(
+                413,
+                f"request body of {length} bytes exceeds the limit of "
+                f"{MAX_BODY_BYTES} bytes",
+            )
         body = self.rfile.read(length) if length else b""
         try:
             return json.loads(body.decode("utf-8") or "null")
@@ -157,8 +326,9 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         """Run a router; every failure mode becomes the JSON error envelope.
 
         Expected conditions keep their specific status codes (malformed
-        documents 400, bad transitions 409, store trouble 500); anything
-        uncaught is a 500 envelope rather than a raw traceback on the wire.
+        documents 400, bad transitions 409, oversized bodies 413, store
+        trouble 500); anything uncaught is a 500 envelope rather than a raw
+        traceback on the wire.
 
         Every request — success or envelope — books one
         ``repro_http_requests_total{method,route,status}`` increment, one
@@ -169,6 +339,8 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         with Stopwatch() as watch:
             try:
                 route()
+            except _RequestError as error:
+                self._send_error_json(error.status, str(error))
             except ScenarioError as error:
                 self._send_error_json(400, str(error))
             except JobError as error:
@@ -247,12 +419,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             name = f"repro_{key}" if key.startswith("jobs_") else f"repro_store_{key}"
             extra[name] = value
         body = render_prometheus(get_registry(), extra).encode("utf-8")
-        self._response_status = 200
-        self.send_response(200)
-        self.send_header("Content-Type", _METRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body, content_type=_METRICS_CONTENT_TYPE)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self._route_get)
@@ -292,20 +459,9 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         elif route == ["results"]:
             self._send_json({"results": _result_rows(store)})
         elif len(route) == 2 and route[0] == "results":
-            result = self._result_or_404(route[1])
-            if result is not None:
-                self._send_json(result.to_dict())
+            self._send_stored(route[1], pareto=False)
         elif len(route) == 3 and route[0] == "results" and route[2] == "pareto":
-            result = self._result_or_404(route[1])
-            if result is not None:
-                self._send_json(
-                    {
-                        "fingerprint": result.fingerprint,
-                        "name": result.name,
-                        "objective_keys": list(result.objective_keys),
-                        "pareto_rows": [dict(row) for row in result.pareto_rows],
-                    }
-                )
+            self._send_stored(route[1], pareto=True)
         elif len(route) == 3 and route[0] == "results" and route[2] == "verification":
             result = self._result_or_404(route[1])
             if result is not None:
@@ -486,6 +642,6 @@ def create_server(
 def serve(
     store: StoreBackend, host: str = "127.0.0.1", port: int = 8787, quiet: bool = True
 ) -> None:
-    """Serve the store until interrupted (the ``repro serve`` loop)."""
+    """Serve the store until interrupted (see :meth:`StoreHTTPServer.run`)."""
     with create_server(store, host, port, quiet=quiet) as server:
-        server.serve_forever()
+        server.run()

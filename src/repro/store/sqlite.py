@@ -15,10 +15,14 @@ scenario document).  It is the durable
   opening a corrupt file or one written by a different schema raises a clear
   :class:`~repro.errors.StoreError` instead of silently misreading documents.
 * **Integrity** — ``put`` re-derives the fingerprint from the embedded
-  scenario document and refuses mismatches; ``get`` validates that the stored
+  scenario document and refuses mismatches; every decode
+  (:func:`~repro.store.backend.decode_result`) validates that the stored
   document still carries the requested fingerprint.
 * **Stats & GC** — per-instance hit/miss/eviction counters plus an LRU /
   max-age eviction policy (:meth:`gc`) keep long-lived stores bounded.
+  :meth:`touch` (one per served GET) is buffered and written in one
+  transaction per second or per :data:`_TOUCH_FLUSH_PENDING` fingerprints;
+  every reader of the usage figures flushes first.
 * **Job queue** — a durable ``jobs`` table implements the
   :class:`~repro.store.jobs.JobQueue` protocol (``queued → leased →
   done|failed|dead`` with lease/heartbeat columns), so ``POST /jobs``
@@ -43,6 +47,7 @@ from ..errors import JobError, StoreError
 from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import get_registry
+from .backend import decode_result
 from .jobs import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
@@ -130,6 +135,12 @@ CREATE INDEX IF NOT EXISTS jobs_claim_idx
 #: Pause between attempts to initialise a file another process is initialising.
 _INITIALISE_RETRY_SECONDS = 0.05
 
+#: Buffered :meth:`ResultStore.touch` calls are written once this many
+#: seconds have passed since the first of them, or once this many distinct
+#: fingerprints are pending.
+_TOUCH_FLUSH_SECONDS = 1.0
+_TOUCH_FLUSH_PENDING = 64
+
 
 class ResultStore:
     """Content-addressed SQLite store of scenario results (see module docs)."""
@@ -139,6 +150,10 @@ class ResultStore:
     def __init__(self, path: str | Path, timeout: float = 30.0) -> None:
         self._path = Path(path)
         self._lock = threading.RLock()
+        # fingerprint -> (touches, latest touch time) not yet written, and
+        # the time of the first of them.
+        self._touches: Dict[str, Tuple[int, float]] = {}
+        self._touches_since: Optional[float] = None
         self._path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._connection = sqlite3.connect(
@@ -277,31 +292,65 @@ class ResultStore:
                     "WHERE fingerprint = ?",
                     (time.time(), fingerprint),
                 )
-        return self._decode(fingerprint, row["document"])
+        return decode_result(fingerprint, row["document"])
 
     def peek(self, fingerprint: str) -> Optional[ScenarioResult]:
         """Like :meth:`get` but without stats, recency or the version policy."""
+        document = self.document(fingerprint)
+        return None if document is None else decode_result(fingerprint, document)
+
+    def document(self, fingerprint: str) -> Optional[str]:
+        """The stored JSON text of ``fingerprint`` (one SELECT, no decoding)."""
         with self._lock:
             row = self._execute(
                 "SELECT document FROM results WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
-        if row is None:
-            return None
-        return self._decode(fingerprint, row["document"])
+        return None if row is None else row["document"]
 
     def touch(self, fingerprint: str) -> None:
-        """Record usage of an entry (hit counter + recency), policy-free."""
-        with self._lock, self._connection:
-            cursor = self._execute(
-                "UPDATE results SET accessed_at = ?, access_count = access_count + 1 "
-                "WHERE fingerprint = ?",
-                (time.time(), fingerprint),
-            )
-            if cursor.rowcount:
-                self._bump_counter("hits", 1)
-                get_registry().counter(
-                    "repro_store_hits_total", backend=self.backend_name
-                ).inc()
+        """Record usage of an entry (hit counter + recency), policy-free.
+
+        The write is buffered: touches are counted per fingerprint and
+        written in one transaction once :data:`_TOUCH_FLUSH_SECONDS` have
+        passed since the first buffered touch or :data:`_TOUCH_FLUSH_PENDING`
+        fingerprints are pending.  :meth:`stats`, :meth:`rows`, :meth:`gc`
+        and :meth:`close` flush first, so the figures they read are exact;
+        a process killed without :meth:`close` loses only the touches
+        buffered since the last flush.
+        """
+        now = time.time()
+        with self._lock:
+            count, _ = self._touches.get(fingerprint, (0, now))
+            self._touches[fingerprint] = (count + 1, now)
+            if self._touches_since is None:
+                self._touches_since = now
+            if len(self._touches) >= _TOUCH_FLUSH_PENDING or not (
+                0.0 <= now - self._touches_since < _TOUCH_FLUSH_SECONDS
+            ):
+                self._flush_touches()
+
+    def _flush_touches(self) -> None:
+        """Write the buffered touches in one transaction (kept if it fails)."""
+        with self._lock:
+            if not self._touches:
+                return
+            hits = 0
+            with self._connection:
+                for fingerprint, (count, accessed_at) in self._touches.items():
+                    cursor = self._execute(
+                        "UPDATE results SET accessed_at = MAX(accessed_at, ?), "
+                        "access_count = access_count + ? WHERE fingerprint = ?",
+                        (accessed_at, count, fingerprint),
+                    )
+                    if cursor.rowcount:
+                        hits += count
+                self._bump_counter("hits", hits)
+            self._touches.clear()
+            self._touches_since = None
+        if hits:
+            get_registry().counter(
+                "repro_store_hits_total", backend=self.backend_name
+            ).inc(hits)
 
     def put(self, result: ScenarioResult) -> None:
         """Insert or replace (upsert) the document under its content address."""
@@ -362,27 +411,6 @@ class ResultStore:
             "repro_store_puts_total", backend=self.backend_name
         ).inc()
 
-    def _decode(self, fingerprint: str, document: str) -> ScenarioResult:
-        try:
-            payload = json.loads(document)
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"stored document for {fingerprint!r} is not valid JSON: {error}"
-            ) from None
-        try:
-            result = ScenarioResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreError(
-                f"stored document for {fingerprint!r} does not decode to a "
-                f"ScenarioResult: {error}"
-            ) from None
-        if result.fingerprint != fingerprint:
-            raise StoreError(
-                f"stored document under {fingerprint!r} carries fingerprint "
-                f"{result.fingerprint!r}; the store row is corrupt"
-            )
-        return result
-
     def fingerprints(self) -> List[str]:
         with self._lock:
             rows = self._execute(
@@ -397,11 +425,12 @@ class ResultStore:
                 "ORDER BY created_at, fingerprint"
             ).fetchall()
         for row in rows:
-            yield row["fingerprint"], self._decode(row["fingerprint"], row["document"])
+            yield row["fingerprint"], decode_result(row["fingerprint"], row["document"])
 
     def rows(self) -> List[Dict[str, Any]]:
         """One flat metadata row per stored result (for listings and CSV)."""
         with self._lock:
+            self._flush_touches()
             rows = self._execute(
                 """
                 SELECT fingerprint, name, optimizer, workload, mapping, topology,
@@ -707,6 +736,7 @@ class ResultStore:
     ) -> int:
         """Evict expired and least-recently-used entries; returns rows removed."""
         removed = 0
+        self._flush_touches()
         now = time.time()
         with self._lock, self._connection:
             if max_age_seconds is not None:
@@ -749,6 +779,7 @@ class ResultStore:
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
+            self._flush_touches()
             entries = self._execute("SELECT COUNT(*) FROM results").fetchone()[0]
             studies = self._execute(
                 "SELECT COUNT(DISTINCT study) FROM studies"
@@ -787,8 +818,12 @@ class ResultStore:
         return [result.to_dict() for _, result in self.items()]
 
     def close(self) -> None:
+        """Write the buffered touches, then close the connection."""
         with self._lock:
-            self._connection.close()
+            try:
+                self._flush_touches()
+            finally:
+                self._connection.close()
 
     # ------------------------------------------------------------------- dunder
     def _bump_counter(self, key: str, delta: int) -> None:

@@ -398,22 +398,30 @@ class WorkerPool:
         ]
         for process in self._processes:
             process.start()
-        merged = WorkerStats()
-        poll_interval = float(self.worker_options.get("poll_interval", 0.2))
-        for process in self._processes:
-            process.join(poll_interval)
-            while process.is_alive():
-                if self._stop_requested:
-                    self._stop.set()
-                process.join(poll_interval)
         import queue as queue_module
 
-        self.child_stats = []
-        for _ in self._processes:
+        poll_interval = float(self.worker_options.get("poll_interval", 0.2))
+        payloads: List[Dict[str, Any]] = []
+        # Read the results while waiting: a child whose payload is larger
+        # than the pipe buffer cannot exit until its payload has been read.
+        while any(process.is_alive() for process in self._processes):
+            if self._stop_requested:
+                self._stop.set()
             try:
-                child = WorkerStats(**results.get(timeout=5.0))
+                payloads.append(results.get(timeout=poll_interval))
+            except queue_module.Empty:
+                pass
+        while len(payloads) < len(self._processes):
+            try:
+                payloads.append(results.get(timeout=5.0))
             except queue_module.Empty:  # pragma: no cover - a child died hard
                 break
+        for process in self._processes:
+            process.join()
+        merged = WorkerStats()
+        self.child_stats = []
+        for payload in payloads:
+            child = WorkerStats(**payload)
             self.child_stats.append(child)
             merged.merge(child)
         # Fold the children's telemetry into this process's registry so the

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -38,6 +40,7 @@ from repro.store.jobs import (
     scenarios_from_submission,
 )
 from repro.store.sqlite import MIGRATABLE_SCHEMAS, STORE_SCHEMA
+from repro.telemetry import MetricsRegistry, get_registry, set_registry
 
 
 def smoke_scenario(**changes) -> Scenario:
@@ -465,6 +468,42 @@ class TestWorker:
             assert store.jobs_stats()["done"] == 3
             for scenario in scenarios:
                 assert scenario.fingerprint() in store
+
+    def test_worker_pool_reads_large_payloads_while_joining(self, tmp_path, monkeypatch):
+        # A child whose stats payload outgrows the pipe buffer cannot exit
+        # until the parent reads it; joining first would wait forever.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the padding patch reaches the children only by fork")
+        padding = 3000
+        original_run = Worker.run
+
+        def padded_run(worker, *args, **kwargs):
+            registry = get_registry()  # the child's own registry
+            for index in range(padding):
+                registry.counter("repro_test_padding_total", series=f"{index:05d}").inc()
+            return original_run(worker, *args, **kwargs)
+
+        monkeypatch.setattr(Worker, "run", padded_run)
+        path = tmp_path / "pool.sqlite"
+        with ResultStore(path):
+            pass
+        pool = WorkerPool(str(path), concurrency=2, poll_interval=0.05)
+        previous = set_registry(MetricsRegistry())
+        try:
+            runner = threading.Thread(target=pool.run, kwargs={"drain": True}, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive(), "WorkerPool.run did not return"
+            merged = get_registry()
+            assert len(pool.child_stats) == 2
+            for child in pool.child_stats:
+                assert len(pickle.dumps(child.to_dict())) > 64 * 1024
+            for index in (0, padding - 1):
+                assert merged.counter_value(
+                    "repro_test_padding_total", series=f"{index:05d}"
+                ) == 2
+        finally:
+            set_registry(previous)
 
     def test_worker_pool_rejects_zero_concurrency(self, tmp_path):
         with pytest.raises(JobError):

@@ -2,22 +2,36 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import http.client
+import itertools
 import json
+import os
+import re
+import signal
+import socket
 import sqlite3
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Any, Dict, Tuple
 
 import pytest
 
+import repro
 from repro.config import GeneticParameters
 from repro.errors import StoreError
 from repro.scenarios import Scenario, ScenarioResult, Study, execute_scenario
 from repro.scenarios.study import fetch_or_execute
 from repro.store import MemoryStore, ResultStore, StoreBackend, create_server
 from repro.store.sqlite import STORE_SCHEMA
+from repro.telemetry import MetricsRegistry, set_registry
 
 
 def smoke_scenario(**changes) -> Scenario:
@@ -559,3 +573,375 @@ class TestHttpApi:
             finally:
                 server.shutdown()
                 server.server_close()
+
+
+# ------------------------------------------------ serving the stored JSON text
+@contextlib.contextmanager
+def _serving(store):
+    """A live server over ``store`` for one test; yields the server."""
+    server = create_server(store, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _fetch(port: int, path: str) -> Tuple[int, bytes]:
+    """Status and raw body of one GET (error statuses included)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def _pareto_document(result: ScenarioResult) -> Dict[str, Any]:
+    return {
+        "fingerprint": result.fingerprint,
+        "name": result.name,
+        "objective_keys": list(result.objective_keys),
+        "pareto_rows": [dict(row) for row in result.pareto_rows],
+    }
+
+
+def _stored_text(path, fingerprint: str) -> str:
+    with sqlite3.connect(path) as connection:
+        (text,) = connection.execute(
+            "SELECT document FROM results WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+    return text
+
+
+def _set_stored_text(path, fingerprint: str, text: str) -> None:
+    with sqlite3.connect(path) as connection:
+        connection.execute(
+            "UPDATE results SET document = ? WHERE fingerprint = ?", (text, fingerprint)
+        )
+
+
+class TestServingStoredDocuments:
+    def test_result_body_is_the_stored_text(self, tmp_path, smoke_result):
+        path = tmp_path / "s.sqlite"
+        fingerprint = smoke_result.fingerprint
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+            assert store.document(fingerprint) == _stored_text(path, fingerprint)
+            assert store.document("absent") is None
+            with _serving(store) as server:
+                port = server.server_address[1]
+                for _ in range(2):  # memo miss, then memo hit
+                    status, body = _fetch(port, f"/api/v1/results/{fingerprint}")
+                    assert status == 200
+                    assert body == _stored_text(path, fingerprint).encode() + b"\n"
+                    status, body = _fetch(port, f"/api/v1/results/{fingerprint}/pareto")
+                    assert status == 200
+                    assert json.loads(body) == _pareto_document(smoke_result)
+        assert json.loads(_stored_text(path, fingerprint)) == smoke_result.to_dict()
+
+    @pytest.mark.parametrize("corruption", ["not json", "other fingerprint"])
+    @pytest.mark.parametrize("route", ["", "/pareto"])
+    def test_corrupt_rows_answer_500(self, tmp_path, smoke_result, corruption, route):
+        path = tmp_path / "s.sqlite"
+        fingerprint = smoke_result.fingerprint
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+            with _serving(store) as server:
+                port = server.server_address[1]
+                # Served (and remembered) intact first: the check must follow
+                # the stored text, not the fingerprint.
+                assert _fetch(port, f"/api/v1/results/{fingerprint}{route}")[0] == 200
+                if corruption == "not json":
+                    text = "not json"
+                else:
+                    document = smoke_result.to_dict()
+                    document["fingerprint"] = "0" * 16
+                    text = json.dumps(document)
+                _set_stored_text(path, fingerprint, text)
+                hits = store.stats()["hits"]
+                status, body = _fetch(port, f"/api/v1/results/{fingerprint}{route}")
+                assert status == 500
+                envelope = json.loads(body)
+                assert envelope["status"] == 500 and fingerprint in envelope["error"]
+                assert store.stats()["hits"] == hits
+
+    def test_valid_re_put_is_served_on_the_next_get(self, tmp_path, smoke_result):
+        path = tmp_path / "s.sqlite"
+        fingerprint = smoke_result.fingerprint
+        rerun = dataclasses.replace(
+            smoke_result,
+            runtime_seconds=smoke_result.runtime_seconds + 1.0,
+            pareto_rows=smoke_result.pareto_rows[:1],
+        )
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+            with _serving(store) as server:
+                port = server.server_address[1]
+                _fetch(port, f"/api/v1/results/{fingerprint}")
+                _fetch(port, f"/api/v1/results/{fingerprint}/pareto")
+                # Another connection (as a worker process would) re-puts it.
+                with ResultStore(path) as writer:
+                    writer.put(rerun)
+                _, body = _fetch(port, f"/api/v1/results/{fingerprint}")
+                assert json.loads(body) == rerun.to_dict()
+                _, body = _fetch(port, f"/api/v1/results/{fingerprint}/pareto")
+                assert json.loads(body) == _pareto_document(rerun)
+
+    def test_outdated_document_is_served_re_encoded(self, tmp_path, smoke_result):
+        # A row written before some fields existed: from_dict fills their
+        # defaults, so the stored dict is not what to_dict gives.
+        path = tmp_path / "s.sqlite"
+        fingerprint = smoke_result.fingerprint
+        outdated = smoke_result.to_dict()
+        for key in ("topology", "evaluations", "verification_rows"):
+            del outdated[key]
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+            _set_stored_text(path, fingerprint, json.dumps(outdated))
+            expected = store.peek(fingerprint).to_dict()
+            assert expected != outdated
+            with _serving(store) as server:
+                port = server.server_address[1]
+                for _ in range(2):
+                    status, body = _fetch(port, f"/api/v1/results/{fingerprint}")
+                    assert status == 200 and json.loads(body) == expected
+                    _, body = _fetch(port, f"/api/v1/results/{fingerprint}/pareto")
+                    assert json.loads(body) == _pareto_document(smoke_result)
+
+    def test_memo_never_exceeds_its_cap(self, tmp_path, smoke_result):
+        from repro.store.server import SERVED_MEMO_ENTRIES
+
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            server = create_server(store, port=0)
+            try:
+                for index in range(SERVED_MEMO_ENTRIES + 8):
+                    variant = dataclasses.replace(smoke_result, runtime_seconds=float(index))
+                    text = json.dumps(variant.to_dict())
+                    served = server.served(variant.fingerprint, text, text.encode())
+                    assert served.document is None
+                    assert len(server._served) <= SERVED_MEMO_ENTRIES
+                assert len(server._served) == SERVED_MEMO_ENTRIES
+            finally:
+                server.server_close()
+
+    def test_memory_store_server_serves_the_same_bodies(self, tmp_path, smoke_result):
+        memory = MemoryStore()
+        memory.put(smoke_result)
+        fingerprint = smoke_result.fingerprint
+        bodies = []
+        with ResultStore(tmp_path / "s.sqlite") as sqlite_store:
+            sqlite_store.put(smoke_result)
+            for store in (memory, sqlite_store):
+                with _serving(store) as server:
+                    port = server.server_address[1]
+                    bodies.append(
+                        [
+                            _fetch(port, f"/api/v1/results/{fingerprint}{route}")
+                            for route in ("", "/pareto", "/verification")
+                        ]
+                    )
+        assert bodies[0] == bodies[1]
+        assert all(status == 200 for status, _ in bodies[0])
+        assert memory.stats()["hits"] == 3
+
+
+# --------------------------------------------------------------- batched touch
+class _Clock:
+    """A settable stand-in for the store module's ``time``."""
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+    def time(self) -> float:
+        return self.now
+
+
+class TestBatchedTouches:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import repro.store.sqlite as sqlite_module
+
+        clock = _Clock(1_000_000.0)
+        monkeypatch.setattr(sqlite_module, "time", clock)
+        return clock
+
+    @staticmethod
+    def commits(store: ResultStore):
+        statements = []
+        store._connection.set_trace_callback(statements.append)
+        return statements
+
+    def test_touches_are_exact_wherever_they_are_read(self, tmp_path, smoke_result):
+        path = tmp_path / "s.sqlite"
+        fingerprint = smoke_result.fingerprint
+        previous = set_registry(MetricsRegistry())
+        try:
+            with ResultStore(path) as store:
+                store.put(smoke_result)
+                for _ in range(7):
+                    store.touch(fingerprint)
+                store.touch("absent")
+                assert store.stats()["hits"] == 7
+                (row,) = store.rows()
+                assert row["access_count"] == 7
+                with _serving(store) as server:
+                    _, text = _fetch(server.server_address[1], "/metrics")
+                metrics = text.decode()
+                assert 'repro_store_hits_total{backend="sqlite"} 7' in metrics
+                assert "repro_store_hits 7" in metrics
+                for _ in range(3):
+                    store.touch(fingerprint)
+            with ResultStore(path) as store:
+                assert store.stats()["hits"] == 10
+                (row,) = store.rows()
+                assert row["access_count"] == 10
+        finally:
+            set_registry(previous)
+
+    def test_a_burst_inside_one_second_is_one_write_transaction(
+        self, tmp_path, smoke_result, clock
+    ):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put(smoke_result)
+            statements = self.commits(store)
+            start = clock.now
+            for step in range(20):
+                clock.now = start + step * 0.04
+                store.touch(smoke_result.fingerprint)
+            assert statements.count("COMMIT") == 0
+            clock.now = start + 1.0
+            store.touch(smoke_result.fingerprint)
+            assert statements.count("COMMIT") == 1
+            (row,) = store.rows()
+            assert row["access_count"] == 21
+            assert row["accessed_at"] == start + 1.0
+
+    def test_pending_fingerprints_flush_at_the_threshold(self, tmp_path, clock):
+        from repro.store.sqlite import _TOUCH_FLUSH_PENDING
+
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            statements = self.commits(store)
+            for index in range(_TOUCH_FLUSH_PENDING - 1):
+                store.touch(f"fp-{index}")
+            assert statements.count("COMMIT") == 0
+            store.touch(f"fp-{_TOUCH_FLUSH_PENDING}")
+            assert statements.count("COMMIT") == 1
+            # Touches of absent entries count nothing, as before.
+            assert store.stats()["hits"] == 0
+
+    def test_gc_flushes_before_it_evicts(self, tmp_path, smoke_result, clock):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put(smoke_result)
+            clock.now += 1000.0
+            store.touch(smoke_result.fingerprint)
+            clock.now += 100.0
+            assert store.gc(max_age_seconds=500.0) == 0
+            assert len(store) == 1
+            clock.now += 1000.0
+            assert store.gc(max_age_seconds=500.0) == 1
+
+
+# ----------------------------------------------------------- http input bounds
+def _post_with_length(port: int, length: str) -> Tuple[int, Dict[str, Any]]:
+    """POST /jobs announcing ``length`` body bytes and sending none."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.putrequest("POST", "/api/v1/jobs")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestHttpInputBounds:
+    def test_oversized_body_is_413_without_reading_it(self, api):
+        from repro.store.server import MAX_BODY_BYTES
+
+        port, _ = api
+        status, envelope = _post_with_length(port, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and envelope["status"] == 413
+        assert str(MAX_BODY_BYTES) in envelope["error"]
+
+    @pytest.mark.parametrize("length", ["-5", "twelve"])
+    def test_invalid_content_length_is_400(self, api, length):
+        port, _ = api
+        status, envelope = _post_with_length(port, length)
+        assert status == 400 and envelope["status"] == 400
+        assert "Content-Length" in envelope["error"]
+
+    def test_silent_client_gives_its_thread_back(self, api, monkeypatch):
+        from repro.store.server import REQUEST_TIMEOUT_SECONDS, _StoreRequestHandler
+
+        assert _StoreRequestHandler.timeout == REQUEST_TIMEOUT_SECONDS > 0
+        port, result = api
+        monkeypatch.setattr(_StoreRequestHandler, "timeout", 0.2)
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as silent:
+            # The server closes the connection once its timeout passes.
+            assert silent.recv(1) == b""
+        status, _ = _get(port, f"/api/v1/results/{result.fingerprint}/pareto")
+        assert status == 200
+
+
+# ------------------------------------------------------------ serve shutdown
+class TestServeShutdown:
+    @pytest.mark.parametrize("run", range(20))
+    def test_sigterm_under_load_exits_and_flushes_touches(
+        self, tmp_path, smoke_result, run
+    ):
+        path = tmp_path / "served.sqlite"
+        with ResultStore(path) as store:
+            store.put(smoke_result)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--store", str(path),
+             "--port", "0", "--quiet"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        answered = []
+        client = None
+        try:
+            banner = child.stdout.readline()
+            port = int(re.search(r":(\d+)/api/v1", banner).group(1))
+            paths = [
+                f"/api/v1/results/{smoke_result.fingerprint}",
+                f"/api/v1/results/{smoke_result.fingerprint}/pareto",
+            ]
+
+            def load() -> None:
+                for index in itertools.count():
+                    try:
+                        status, _ = _fetch(port, paths[index % 2])
+                    except (OSError, http.client.HTTPException):
+                        return  # the server has gone
+                    answered.append(status)
+
+            client = threading.Thread(target=load, daemon=True)
+            client.start()
+            deadline = time.monotonic() + 30
+            while len(answered) < 20 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            child.send_signal(signal.SIGTERM)
+            output, _ = child.communicate(timeout=30)
+            assert child.returncode == 0, output
+        finally:
+            if child.poll() is None:  # pragma: no cover - cleanup on failure
+                child.kill()
+                child.wait(timeout=30)
+            if client is not None:
+                client.join(timeout=30)
+        assert "server stopped" in output
+        assert answered and set(answered) == {200}
+        with ResultStore(path) as store:
+            (row,) = store.rows()
+            assert row["access_count"] == len(answered)
+            assert store.stats()["hits"] == len(answered)

@@ -4,15 +4,16 @@ This subpackage turns the in-process study cache into a long-lived service
 layer:
 
 * :mod:`~repro.store.backend` — the :class:`StoreBackend` protocol and the
-  in-memory reference backend (:class:`MemoryStore`, the
+  in-process backend (:class:`MemoryStore`, the
   :class:`~repro.scenarios.study.Study` default).
 * :mod:`~repro.store.sqlite` — :class:`ResultStore`, the content-addressed,
   SQLite/WAL-backed durable backend with schema versioning, upserts, stats
   and LRU/max-age garbage collection.
-* :mod:`~repro.store.jobs` — the durable job queue model: the :class:`Job`
+* :mod:`~repro.store.jobs` — the durable job queue: the :class:`Job`
   document, the :class:`JobQueue` protocol every backend implements
-  (``queued → leased → done | failed | dead``) and the in-memory reference
-  queue.
+  (``queued → leased → done | failed | dead``) and its one implementation,
+  the guarded SQL both backends run (on the store file, or on a private
+  ``:memory:`` database for :class:`MemoryStore`).
 * :mod:`~repro.store.worker` — :class:`Worker` / :class:`WorkerPool`, the
   claim → execute → complete loops behind ``repro work``.
 * :mod:`~repro.store.server` — a stdlib :mod:`http.server` JSON API that
@@ -37,7 +38,7 @@ from typing import Any
 
 from ..errors import JobError, StoreError
 from .backend import MemoryStore, StoreBackend
-from .jobs import JOB_STATES, Job, JobQueue, MemoryJobQueue
+from .jobs import JOB_STATES, Job, JobQueue
 
 # The SQLite store, the HTTP server and the worker persist/serve/execute
 # ScenarioResult documents, so their modules import repro.scenarios.study —
@@ -77,7 +78,6 @@ __all__ = [
     "JobError",
     "JobQueue",
     "MIGRATABLE_SCHEMAS",
-    "MemoryJobQueue",
     "MemoryStore",
     "ResultStore",
     "STORE_SCHEMA",

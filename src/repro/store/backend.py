@@ -1,4 +1,4 @@
-"""Result-store backend protocol and the in-memory reference backend.
+"""Result-store backend protocol and the in-process backend.
 
 A store backend is a fingerprint-keyed mapping of
 :class:`~repro.scenarios.study.ScenarioResult` documents.  The fingerprint is
@@ -7,26 +7,29 @@ hashes the canonical scenario document, so two entries with the same key are
 guaranteed to describe the same run and a cached result can be served without
 re-executing the optimizer.
 
-:class:`MemoryStore` is the in-process reference implementation — it is what
-a :class:`~repro.scenarios.study.Study` uses when no explicit store is given,
+:class:`MemoryStore` is the in-process backend — it is what a
+:class:`~repro.scenarios.study.Study` uses when no explicit store is given,
 and it preserves the historical behaviour of the study's plain dict cache
-(results are shared by object identity across ``run`` calls).  The SQLite
-implementation in :mod:`repro.store.sqlite` adds durability and cross-process
-sharing behind the same protocol.
+(results are shared by object identity across ``run`` calls).  Its job queue
+is the file store's SQL (:class:`~repro.store.jobs.SqlJobQueue`) run on a
+private ``:memory:`` database.  The SQLite implementation in
+:mod:`repro.store.sqlite` adds durability and cross-process sharing behind
+the same protocol.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
+import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..errors import StoreError
 from ..telemetry import get_registry
-from .jobs import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS, Job, MemoryJobQueue
+from .jobs import JOBS_TABLE, JobQueue, SqlJobQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
-    from ..scenarios.scenario import Scenario
     from ..scenarios.study import ScenarioResult
 
 __all__ = ["MemoryStore", "StoreBackend", "decode_result"]
@@ -64,12 +67,15 @@ def decode_result(fingerprint: str, document: str) -> "ScenarioResult":
 
 
 @runtime_checkable
-class StoreBackend(Protocol):
+class StoreBackend(JobQueue, Protocol):
     """What a :class:`~repro.scenarios.study.Study` needs from a result store.
 
     Implementations are fingerprint-keyed document stores with hit/miss/evict
     accounting.  ``get`` counts a hit or a miss; ``peek`` is the side-effect
-    free read used for listings.
+    free read used for listings.  Every backend is also a
+    :class:`~repro.store.jobs.JobQueue`: scenarios are submitted as jobs,
+    workers lease and execute them, and the results land back in the same
+    store under their fingerprints.
     """
 
     #: Short registry-style name of the backend ("memory", "sqlite" ...).
@@ -130,80 +136,29 @@ class StoreBackend(Protocol):
     def close(self) -> None:
         """Release any resource the backend holds (idempotent)."""
 
-    # ------------------------------------------------------------- job queue
-    # Every backend is also a JobQueue (see repro.store.jobs): scenarios are
-    # submitted as jobs, workers lease and execute them, and the results land
-    # back in the same store under their fingerprints.
-    def enqueue(
-        self,
-        scenario: Union["Scenario", Dict[str, Any]],
-        priority: int = 0,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        study: Optional[str] = None,
-    ) -> Job:
-        """Validate and append one scenario job; returns the queued job."""
-
-    def claim(
-        self, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> Optional[Job]:
-        """Atomically lease the next runnable job, or ``None``."""
-
-    def heartbeat(
-        self, job_id: str, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> bool:
-        """Extend a held lease; False when the lease was lost in the meantime."""
-
-    def complete(self, job_id: str, worker_id: str) -> Job:
-        """Mark a leased job done (the result is already in the store)."""
-
-    def fail(
-        self,
-        job_id: str,
-        worker_id: str,
-        error: str,
-        retryable: bool = True,
-        delay_seconds: float = 0.0,
-    ) -> Job:
-        """Record a failed attempt; re-queues, fails or kills the job."""
-
-    def release(self, job_id: str, worker_id: str) -> Job:
-        """Give a leased job back untouched (graceful shutdown mid-claim)."""
-
-    def cancel(self, job_id: str) -> bool:
-        """Drop a *queued* job; False when absent or no longer cancellable."""
-
-    def requeue(self, job_id: str) -> Job:
-        """Reset a terminal (done/failed/dead) job to queued with a fresh budget."""
-
-    def job(self, job_id: str) -> Optional[Job]:
-        """The job with this id, or ``None``."""
-
-    def jobs(self, state: Optional[str] = None, limit: Optional[int] = None) -> List[Job]:
-        """Jobs newest-first, optionally filtered by state."""
-
-    def jobs_stats(self) -> Dict[str, Any]:
-        """Queue telemetry: per-state counts, depth, mean wait/run times."""
-
     def __len__(self) -> int: ...
 
     def __contains__(self, fingerprint: object) -> bool: ...
 
 
-class MemoryStore(MemoryJobQueue):
+class MemoryStore(SqlJobQueue):
     """In-process, dict-backed store — the default :class:`Study` backend.
 
     Entries are held by reference (no serialisation round-trip), so repeated
     ``get`` calls return the identical object.  Recency is tracked per entry
     so :meth:`gc` can evict least-recently-used results when a cap is given.
-    The :class:`~repro.store.jobs.MemoryJobQueue` base adds the in-process
-    job queue, so single-process pipelines (and the tests) can exercise the
-    submit/work loop without a SQLite file.
+    The :class:`~repro.store.jobs.SqlJobQueue` base runs the job queue on a
+    private ``:memory:`` SQLite database, so single-process pipelines (and
+    the tests) exercise the same submit/work loop as a store file.
     """
 
     backend_name = "memory"
 
     def __init__(self) -> None:
-        super().__init__()
+        self._lock = threading.RLock()
+        self._connection = sqlite3.connect(":memory:", check_same_thread=False)
+        self._connection.row_factory = sqlite3.Row
+        self._connection.executescript(JOBS_TABLE)
         self._results: Dict[str, "ScenarioResult"] = {}
         self._accessed_at: Dict[str, float] = {}
         self._created_at: Dict[str, float] = {}
@@ -282,6 +237,8 @@ class MemoryStore(MemoryJobQueue):
                 for fingerprint, accessed in self._accessed_at.items()
                 if accessed < cutoff
             )
+            with self._lock, self._connection:
+                self._age_jobs(cutoff)
         if max_entries is not None and len(self._results) - len(set(victims)) > max_entries:
             by_recency = sorted(
                 (f for f in self._results if f not in set(victims)),
@@ -296,6 +253,12 @@ class MemoryStore(MemoryJobQueue):
                 self._accessed_at.pop(fingerprint, None)
                 self._created_at.pop(fingerprint, None)
                 removed += 1
+        # As in ResultStore.gc: a study keeps only fingerprints still stored.
+        self._study_index = {
+            name: kept
+            for name, fingerprints in self._study_index.items()
+            if (kept := [f for f in fingerprints if f in self._results])
+        }
         self._evictions += removed
         if removed:
             get_registry().counter(
@@ -318,7 +281,15 @@ class MemoryStore(MemoryJobQueue):
         return stats
 
     def close(self) -> None:
-        """Nothing to release; kept for protocol symmetry."""
+        """Close the job queue's in-memory database (idempotent)."""
+        with self._lock:
+            self._connection.close()
+
+    def _execute(self, sql: str, parameters: Tuple[Any, ...] = ()) -> sqlite3.Cursor:
+        try:
+            return self._connection.execute(sql, parameters)
+        except sqlite3.Error as error:
+            raise StoreError(f"in-memory job queue query failed: {error}") from None
 
     # ------------------------------------------------------------------- dunder
     def __len__(self) -> int:

@@ -20,23 +20,24 @@ A *job* is one scenario waiting to be executed by a worker
 * ``dead`` — transient failures (or lease expiries) exhausted
   ``max_attempts``.
 
-The :class:`JobQueue` protocol is implemented by both store backends: the
-SQLite :class:`~repro.store.sqlite.ResultStore` (durable, shared by every
-worker process pointed at the file) and the in-process
-:class:`~repro.store.backend.MemoryStore` (via :class:`MemoryJobQueue`, used
-for tests and single-process pipelines).  The transition rules live in module
-functions here so the two implementations cannot drift.
+:class:`SqlJobQueue` is the one :class:`JobQueue` implementation: guarded SQL
+over the :data:`JOBS_TABLE` of its host store's connection.  The SQLite
+:class:`~repro.store.sqlite.ResultStore` runs it on its file (durable, shared
+by every worker process pointed at the file); the in-process
+:class:`~repro.store.backend.MemoryStore` runs it on a private ``:memory:``
+database (tests and single-process pipelines).
 """
 
 from __future__ import annotations
 
-import threading
+import json
+import sqlite3
 import time
 import uuid
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Tuple, Union, runtime_checkable
 
-from ..errors import JobError
+from ..errors import JobError, StoreError
 from ..telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
@@ -45,10 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_MAX_ATTEMPTS",
+    "JOBS_TABLE",
     "JOB_STATES",
     "Job",
     "JobQueue",
-    "MemoryJobQueue",
+    "SqlJobQueue",
     "backoff_seconds",
     "enqueue_submission",
     "failure_transition",
@@ -359,9 +361,9 @@ def summarise_jobs(
 
 
 # --------------------------------------------------------------- telemetry
-# Queue-side counters live here, next to the transition rules, so the two
-# backends book identical series (workers and the HTTP API both go through
-# these transitions; the worker's own WorkerStats stay per-process).
+# Queue-side counters, booked by the transitions of SqlJobQueue (workers and
+# the HTTP API both go through them; the worker's own WorkerStats stay
+# per-process).
 
 def note_job_enqueued() -> None:
     get_registry().counter("repro_jobs_enqueued_total").inc()
@@ -408,20 +410,50 @@ def note_job_finished(record: Dict[str, Any]) -> None:
         registry.counter("repro_jobs_retried_total").inc()
 
 
-class MemoryJobQueue:
-    """In-process :class:`JobQueue` (mixed into
-    :class:`~repro.store.backend.MemoryStore`).
+#: The ``jobs`` table and its claim index, created by every host store.
+JOBS_TABLE = """
+CREATE TABLE IF NOT EXISTS jobs (
+    id               TEXT PRIMARY KEY,
+    state            TEXT NOT NULL,
+    fingerprint      TEXT NOT NULL,
+    scenario         TEXT NOT NULL,
+    priority         INTEGER NOT NULL DEFAULT 0,
+    study            TEXT,
+    attempts         INTEGER NOT NULL DEFAULT 0,
+    max_attempts     INTEGER NOT NULL DEFAULT 3,
+    not_before       REAL NOT NULL DEFAULT 0,
+    lease_owner      TEXT,
+    lease_expires_at REAL,
+    heartbeat_at     REAL,
+    error            TEXT,
+    enqueued_at      REAL NOT NULL,
+    started_at       REAL,
+    finished_at      REAL,
+    updated_at       REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS jobs_claim_idx
+    ON jobs (state, priority DESC, enqueued_at, id);
+"""
 
-    Jobs live as plain field dicts guarded by one lock; the semantics —
-    priority/FIFO ordering, lease expiry counting as an attempt, the failure
-    transitions — mirror the SQLite implementation row for row.
+
+class SqlJobQueue:
+    """The :class:`JobQueue` over a :data:`JOBS_TABLE` (mixed into both stores).
+
+    The host store supplies ``_lock`` (a re-entrant lock guarding the
+    connection), ``_connection`` (an :mod:`sqlite3` connection with
+    :class:`sqlite3.Row` rows on a database holding :data:`JOBS_TABLE`) and
+    ``_execute`` (one statement; SQLite errors re-raised as
+    :class:`~repro.errors.StoreError`).  Every transition is one guarded
+    UPDATE inside the connection's transaction, so a state change is
+    all-or-nothing and a lost race changes no row.
     """
 
-    def __init__(self) -> None:
-        self._jobs: Dict[str, Dict[str, Any]] = {}
-        self._jobs_lock = threading.RLock()
+    _lock: Any
+    _connection: sqlite3.Connection
 
-    # ----------------------------------------------------------------- enqueue
+    def _execute(self, sql: str, parameters: Tuple[Any, ...] = ()) -> sqlite3.Cursor:
+        raise NotImplementedError  # provided by the host store
+
     def enqueue(
         self,
         scenario: Union["Scenario", Dict[str, Any]],
@@ -429,114 +461,143 @@ class MemoryJobQueue:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         study: Optional[str] = None,
     ) -> Job:
+        """Validate and append one scenario job; returns the queued job."""
         fingerprint, document = _scenario_document(scenario)
         now = time.time()
-        record = {
-            "id": new_job_id(),
-            "state": "queued",
-            "fingerprint": fingerprint,
-            "scenario": document,
-            "priority": int(priority),
-            "study": study,
-            "attempts": 0,
-            "max_attempts": max(1, int(max_attempts)),
-            "not_before": now,
-            "lease_owner": None,
-            "lease_expires_at": None,
-            "heartbeat_at": None,
-            "error": None,
-            "enqueued_at": now,
-            "started_at": None,
-            "finished_at": None,
-            "updated_at": now,
-        }
-        with self._jobs_lock:
-            self._jobs[record["id"]] = record
+        job_id = new_job_id()
+        with self._lock, self._connection:
+            self._execute(
+                """
+                INSERT INTO jobs (
+                    id, state, fingerprint, scenario, priority, study,
+                    attempts, max_attempts, not_before, enqueued_at, updated_at
+                ) VALUES (?, 'queued', ?, ?, ?, ?, 0, ?, ?, ?, ?)
+                """,
+                (
+                    job_id,
+                    fingerprint,
+                    json.dumps(document),
+                    int(priority),
+                    study,
+                    max(1, int(max_attempts)),
+                    now,
+                    now,
+                    now,
+                ),
+            )
         note_job_enqueued()
-        return Job(**record)
+        return self.job(job_id)
 
-    # ------------------------------------------------------------------- claim
     def claim(
         self, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
     ) -> Optional[Job]:
-        with self._jobs_lock:
-            now = time.time()
-            candidates = sorted(
-                (
-                    record
-                    for record in self._jobs.values()
-                    if _claimable(record, now)
-                ),
-                key=lambda r: (-r["priority"], r["enqueued_at"], r["id"]),
-            )
-            for record in candidates:
-                if _expired_lease(record, now) and record["attempts"] >= record["max_attempts"]:
-                    record.update(
-                        state="dead",
-                        error=(
-                            f"lease expired after attempt "
-                            f"{record['attempts']}/{record['max_attempts']}"
-                        ),
-                        lease_owner=None,
-                        lease_expires_at=None,
-                        finished_at=now,
-                        updated_at=now,
-                    )
-                    note_job_expired_dead()
-                    continue
-                reclaimed = _expired_lease(record, now)
-                record.update(
-                    state="leased",
-                    attempts=record["attempts"] + 1,
-                    lease_owner=worker_id,
-                    lease_expires_at=now + lease_seconds,
-                    heartbeat_at=now,
-                    started_at=record["started_at"] or now,
-                    updated_at=now,
+        """Atomically lease the next runnable job, or ``None``.
+
+        Runnable means queued with ``not_before`` due, or leased with an
+        *expired* lease (a crashed or wedged worker) — re-claiming such a job
+        is the crash-recovery path and counts as a fresh attempt.  Expired
+        jobs whose attempt budget is already spent are marked dead instead.
+        The candidate row is re-checked inside the conditional UPDATE, so
+        concurrent workers (threads or processes on the same file) never
+        claim the same job twice.
+        """
+        while True:
+            with self._lock, self._connection:
+                now = time.time()
+                row = self._execute(
+                    """
+                    SELECT id, state, attempts, max_attempts, started_at FROM jobs
+                    WHERE (state = 'queued' AND not_before <= ?)
+                       OR (state = 'leased' AND lease_expires_at <= ?)
+                    ORDER BY priority DESC, enqueued_at, id LIMIT 1
+                    """,
+                    (now, now),
+                ).fetchone()
+                if row is None:
+                    return None
+                guard = (
+                    "(state = 'queued' AND not_before <= ?) "
+                    "OR (state = 'leased' AND lease_expires_at <= ?)"
                 )
-                note_job_claimed(reclaimed)
-                return Job(**record)
-        return None
+                if row["state"] == "leased" and row["attempts"] >= row["max_attempts"]:
+                    cursor = self._execute(
+                        f"""
+                        UPDATE jobs SET state = 'dead', error = ?,
+                            lease_owner = NULL, lease_expires_at = NULL,
+                            finished_at = ?, updated_at = ?
+                        WHERE id = ? AND ({guard})
+                        """,
+                        (
+                            f"lease expired after attempt "
+                            f"{row['attempts']}/{row['max_attempts']}",
+                            now,
+                            now,
+                            row["id"],
+                            now,
+                            now,
+                        ),
+                    )
+                    if cursor.rowcount:
+                        note_job_expired_dead()
+                    continue
+                cursor = self._execute(
+                    f"""
+                    UPDATE jobs SET state = 'leased', attempts = attempts + 1,
+                        lease_owner = ?, lease_expires_at = ?, heartbeat_at = ?,
+                        started_at = COALESCE(started_at, ?), updated_at = ?
+                    WHERE id = ? AND ({guard})
+                    """,
+                    (worker_id, now + lease_seconds, now, now, now, row["id"], now, now),
+                )
+                if cursor.rowcount:
+                    note_job_claimed(reclaimed=row["state"] == "leased")
+                    return self._job_locked(row["id"])
+            # Lost the race for this candidate; look for the next one.
 
     def heartbeat(
         self, job_id: str, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
     ) -> bool:
-        with self._jobs_lock:
-            record = self._jobs.get(job_id)
-            if record is None or record["state"] != "leased" or record["lease_owner"] != worker_id:
-                return False
-            now = time.time()
-            record.update(
-                lease_expires_at=now + lease_seconds, heartbeat_at=now, updated_at=now
+        """Extend a held lease; False when the lease was lost in the meantime."""
+        now = time.time()
+        with self._lock, self._connection:
+            cursor = self._execute(
+                "UPDATE jobs SET lease_expires_at = ?, heartbeat_at = ?, updated_at = ? "
+                "WHERE id = ? AND state = 'leased' AND lease_owner = ?",
+                (now + lease_seconds, now, now, job_id, worker_id),
             )
-            return True
+        return bool(cursor.rowcount)
 
-    # -------------------------------------------------------------- transitions
-    def _held(self, job_id: str, worker_id: str) -> Dict[str, Any]:
-        record = self._jobs.get(job_id)
-        if record is None:
-            raise JobError(f"no job {job_id!r} in the queue")
-        if record["state"] != "leased" or record["lease_owner"] != worker_id:
-            raise JobError(
-                f"job {job_id!r} is not leased by {worker_id!r} "
-                f"(state {record['state']!r}, owner {record['lease_owner']!r})"
+    def _transition_held(
+        self, job_id: str, worker_id: str, sql: str, parameters: Tuple[Any, ...]
+    ) -> Job:
+        """Run a guarded leased-job UPDATE; raise :class:`JobError` on a lost lease."""
+        with self._lock, self._connection:
+            cursor = self._execute(
+                f"{sql} WHERE id = ? AND state = 'leased' AND lease_owner = ?",
+                parameters + (job_id, worker_id),
             )
-        return record
+            if cursor.rowcount:
+                return self._job_locked(job_id)
+            current = self._job_locked(job_id)
+        if current is None:
+            raise JobError(f"no job {job_id!r} in the queue")
+        raise JobError(
+            f"job {job_id!r} is not leased by {worker_id!r} "
+            f"(state {current.state!r}, owner {current.lease_owner!r})"
+        )
 
     def complete(self, job_id: str, worker_id: str) -> Job:
-        with self._jobs_lock:
-            record = self._held(job_id, worker_id)
-            now = time.time()
-            record.update(
-                state="done",
-                error=None,
-                lease_owner=None,
-                lease_expires_at=None,
-                finished_at=now,
-                updated_at=now,
-            )
-            note_job_finished(record)
-            return Job(**record)
+        """Mark a leased job done (the result is already in the store)."""
+        now = time.time()
+        job = self._transition_held(
+            job_id,
+            worker_id,
+            "UPDATE jobs SET state = 'done', error = NULL, lease_owner = NULL, "
+            "lease_expires_at = NULL, finished_at = ?, updated_at = ?",
+            (now, now),
+        )
+        note_job_finished(job.to_dict())
+        return job
 
     def fail(
         self,
@@ -546,107 +607,126 @@ class MemoryJobQueue:
         retryable: bool = True,
         delay_seconds: float = 0.0,
     ) -> Job:
-        with self._jobs_lock:
-            record = self._held(job_id, worker_id)
-            now = time.time()
-            state, not_before = failure_transition(
-                record["attempts"], record["max_attempts"], retryable, now, delay_seconds
-            )
-            record.update(
-                state=state,
-                error=str(error),
-                not_before=not_before,
-                lease_owner=None,
-                lease_expires_at=None,
-                finished_at=None if state == "queued" else now,
-                updated_at=now,
-            )
-            note_job_finished(record)
-            return Job(**record)
+        """Record a failed attempt; re-queues (with backoff), fails or kills."""
+        with self._lock:
+            current = self._job_locked(job_id)
+        if current is None:
+            raise JobError(f"no job {job_id!r} in the queue")
+        now = time.time()
+        state, not_before = failure_transition(
+            current.attempts, current.max_attempts, retryable, now, delay_seconds
+        )
+        job = self._transition_held(
+            job_id,
+            worker_id,
+            "UPDATE jobs SET state = ?, error = ?, not_before = ?, "
+            "lease_owner = NULL, lease_expires_at = NULL, finished_at = ?, "
+            "updated_at = ?",
+            (state, str(error), not_before, None if state == "queued" else now, now),
+        )
+        note_job_finished(job.to_dict())
+        return job
 
     def release(self, job_id: str, worker_id: str) -> Job:
-        with self._jobs_lock:
-            record = self._held(job_id, worker_id)
-            now = time.time()
-            record.update(
-                state="queued",
-                # The released claim doesn't count against the retry budget.
-                attempts=max(0, record["attempts"] - 1),
-                not_before=now,
-                lease_owner=None,
-                lease_expires_at=None,
-                updated_at=now,
-            )
-            return Job(**record)
+        """Give a leased job back untouched (graceful shutdown mid-claim).
+
+        The released claim doesn't count against the retry budget.
+        """
+        now = time.time()
+        return self._transition_held(
+            job_id,
+            worker_id,
+            "UPDATE jobs SET state = 'queued', attempts = MAX(0, attempts - 1), "
+            "not_before = ?, lease_owner = NULL, lease_expires_at = NULL, "
+            "updated_at = ?",
+            (now, now),
+        )
 
     def cancel(self, job_id: str) -> bool:
-        with self._jobs_lock:
-            record = self._jobs.get(job_id)
-            if record is None or record["state"] != "queued":
-                return False
-            del self._jobs[job_id]
-            return True
+        """Drop a *queued* job; False when absent or no longer cancellable."""
+        with self._lock, self._connection:
+            cursor = self._execute(
+                "DELETE FROM jobs WHERE id = ? AND state = 'queued'", (job_id,)
+            )
+        return bool(cursor.rowcount)
 
     def requeue(self, job_id: str) -> Job:
-        with self._jobs_lock:
-            record = self._jobs.get(job_id)
-            if record is None:
-                raise JobError(f"no job {job_id!r} in the queue")
-            if record["state"] not in TERMINAL_STATES:
-                raise JobError(
-                    f"only done/failed/dead jobs can be requeued; "
-                    f"{job_id!r} is {record['state']!r}"
-                )
-            now = time.time()
-            record.update(
-                state="queued",
-                attempts=0,
-                not_before=now,
-                error=None,
-                lease_owner=None,
-                lease_expires_at=None,
-                heartbeat_at=None,
-                started_at=None,
-                finished_at=None,
-                updated_at=now,
+        """Reset a terminal (done/failed/dead) job to queued with a fresh budget."""
+        now = time.time()
+        placeholders = ", ".join("?" for _ in TERMINAL_STATES)
+        with self._lock, self._connection:
+            cursor = self._execute(
+                f"""
+                UPDATE jobs SET state = 'queued', attempts = 0, not_before = ?,
+                    error = NULL, lease_owner = NULL, lease_expires_at = NULL,
+                    heartbeat_at = NULL, started_at = NULL, finished_at = NULL,
+                    updated_at = ?
+                WHERE id = ? AND state IN ({placeholders})
+                """,
+                (now, now, job_id) + TERMINAL_STATES,
             )
-            return Job(**record)
+            if cursor.rowcount:
+                return self._job_locked(job_id)
+            current = self._job_locked(job_id)
+        if current is None:
+            raise JobError(f"no job {job_id!r} in the queue")
+        raise JobError(
+            f"only done/failed/dead jobs can be requeued; "
+            f"{job_id!r} is {current.state!r}"
+        )
 
-    # ----------------------------------------------------------------- queries
     def job(self, job_id: str) -> Optional[Job]:
-        with self._jobs_lock:
-            record = self._jobs.get(job_id)
-            return None if record is None else Job(**record)
+        """The job with this id, or ``None``."""
+        with self._lock:
+            return self._job_locked(job_id)
+
+    def _job_locked(self, job_id: str) -> Optional[Job]:
+        row = self._execute("SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
+        return None if row is None else self._decode_job(row)
 
     def jobs(self, state: Optional[str] = None, limit: Optional[int] = None) -> List[Job]:
+        """Jobs newest-first, optionally filtered by state."""
         _require_state(state)
-        with self._jobs_lock:
-            records = sorted(
-                (
-                    record
-                    for record in self._jobs.values()
-                    if state is None or record["state"] == state
-                ),
-                key=lambda r: (-r["enqueued_at"], r["id"]),
-            )
-            if limit is not None:
-                records = records[: max(0, int(limit))]
-            return [Job(**record) for record in records]
+        sql = "SELECT * FROM jobs"
+        parameters: Tuple[Any, ...] = ()
+        if state is not None:
+            sql += " WHERE state = ?"
+            parameters += (state,)
+        sql += " ORDER BY enqueued_at DESC, id"
+        if limit is not None:
+            sql += " LIMIT ?"
+            parameters += (max(0, int(limit)),)
+        with self._lock:
+            rows = self._execute(sql, parameters).fetchall()
+        return [self._decode_job(row) for row in rows]
 
     def jobs_stats(self) -> Dict[str, Any]:
-        with self._jobs_lock:
-            return summarise_jobs(list(self._jobs.values()))
+        """Queue telemetry: per-state counts, depth, mean wait/run times."""
+        with self._lock:
+            rows = self._execute(
+                "SELECT state, enqueued_at, started_at, finished_at FROM jobs"
+            ).fetchall()
+        return summarise_jobs([dict(row) for row in rows])
 
+    def _decode_job(self, row: sqlite3.Row) -> Job:
+        record = dict(row)
+        try:
+            record["scenario"] = json.loads(record["scenario"])
+        except json.JSONDecodeError as error:
+            raise StoreError(
+                f"stored scenario for job {record['id']!r} is not valid JSON: {error}"
+            ) from None
+        return Job(**record)
 
-def _expired_lease(record: Dict[str, Any], now: float) -> bool:
-    return (
-        record["state"] == "leased"
-        and record["lease_expires_at"] is not None
-        and record["lease_expires_at"] <= now
-    )
+    def _age_jobs(self, cutoff: float) -> None:
+        """Delete finished jobs last updated before ``cutoff``.
 
-
-def _claimable(record: Dict[str, Any], now: float) -> bool:
-    if record["state"] == "queued":
-        return record["not_before"] <= now
-    return _expired_lease(record, now)
+        Both stores' ``gc`` call this inside their transaction, so finished
+        jobs age out alongside the results they produced.  Live
+        (queued/leased) jobs are never collected.
+        """
+        placeholders = ", ".join("?" for _ in TERMINAL_STATES)
+        self._execute(  # repro-lint: allow R003 — caller holds the transaction
+            f"DELETE FROM jobs WHERE state IN ({placeholders}) AND updated_at < ?",
+            TERMINAL_STATES + (cutoff,),
+        )

@@ -23,11 +23,11 @@ scenario document).  It is the durable
   :meth:`touch` (one per served GET) is buffered and written in one
   transaction per second or per :data:`_TOUCH_FLUSH_PENDING` fingerprints;
   every reader of the usage figures flushes first.
-* **Job queue** — a durable ``jobs`` table implements the
-  :class:`~repro.store.jobs.JobQueue` protocol (``queued → leased →
-  done|failed|dead`` with lease/heartbeat columns), so ``POST /jobs``
-  submissions survive restarts and any number of ``repro work`` processes
-  can claim work from the same file.
+* **Job queue** — :class:`~repro.store.jobs.SqlJobQueue` runs on the file's
+  ``jobs`` table (``queued → leased → done|failed|dead`` with
+  lease/heartbeat columns), so ``POST /jobs`` submissions survive restarts
+  and any number of ``repro work`` processes can claim work from the same
+  file.
 
 The store is thread-safe (one connection guarded by a lock — the threading
 HTTP server in :mod:`repro.store.server` shares a single instance) and may be
@@ -41,28 +41,14 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import JobError, StoreError
+from ..errors import StoreError
 from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import get_registry
 from .backend import decode_result
-from .jobs import (
-    DEFAULT_LEASE_SECONDS,
-    DEFAULT_MAX_ATTEMPTS,
-    TERMINAL_STATES,
-    Job,
-    _require_state,
-    _scenario_document,
-    failure_transition,
-    new_job_id,
-    note_job_claimed,
-    note_job_enqueued,
-    note_job_expired_dead,
-    note_job_finished,
-    summarise_jobs,
-)
+from .jobs import JOBS_TABLE, SqlJobQueue
 
 __all__ = ["MIGRATABLE_SCHEMAS", "STORE_SCHEMA", "ResultStore"]
 
@@ -108,28 +94,7 @@ CREATE TABLE IF NOT EXISTS studies (
     recorded_at REAL NOT NULL,
     PRIMARY KEY (study, fingerprint)
 );
-CREATE TABLE IF NOT EXISTS jobs (
-    id               TEXT PRIMARY KEY,
-    state            TEXT NOT NULL,
-    fingerprint      TEXT NOT NULL,
-    scenario         TEXT NOT NULL,
-    priority         INTEGER NOT NULL DEFAULT 0,
-    study            TEXT,
-    attempts         INTEGER NOT NULL DEFAULT 0,
-    max_attempts     INTEGER NOT NULL DEFAULT 3,
-    not_before       REAL NOT NULL DEFAULT 0,
-    lease_owner      TEXT,
-    lease_expires_at REAL,
-    heartbeat_at     REAL,
-    error            TEXT,
-    enqueued_at      REAL NOT NULL,
-    started_at       REAL,
-    finished_at      REAL,
-    updated_at       REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS jobs_claim_idx
-    ON jobs (state, priority DESC, enqueued_at, id);
-"""
+""" + JOBS_TABLE
 
 
 #: Pause between attempts to initialise a file another process is initialising.
@@ -142,10 +107,16 @@ _TOUCH_FLUSH_SECONDS = 1.0
 _TOUCH_FLUSH_PENDING = 64
 
 
-class ResultStore:
+class ResultStore(SqlJobQueue):
     """Content-addressed SQLite store of scenario results (see module docs)."""
 
     backend_name = "sqlite"
+
+    # perfbench's tracer wraps these entry points in ResultStore's own
+    # namespace (its store.enqueue/claim/complete spans).
+    enqueue = SqlJobQueue.enqueue
+    claim = SqlJobQueue.claim
+    complete = SqlJobQueue.complete
 
     def __init__(self, path: str | Path, timeout: float = 30.0) -> None:
         self._path = Path(path)
@@ -463,271 +434,6 @@ class ResultStore:
             index.setdefault(row["study"], []).append(row["fingerprint"])
         return index
 
-    # -------------------------------------------------------------- job queue
-    def enqueue(
-        self,
-        scenario: Union[Scenario, Dict[str, Any]],
-        priority: int = 0,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        study: Optional[str] = None,
-    ) -> Job:
-        """Validate and append one scenario job; returns the queued job."""
-        fingerprint, document = _scenario_document(scenario)
-        now = time.time()
-        job_id = new_job_id()
-        with self._lock, self._connection:
-            self._execute(
-                """
-                INSERT INTO jobs (
-                    id, state, fingerprint, scenario, priority, study,
-                    attempts, max_attempts, not_before, enqueued_at, updated_at
-                ) VALUES (?, 'queued', ?, ?, ?, ?, 0, ?, ?, ?, ?)
-                """,
-                (
-                    job_id,
-                    fingerprint,
-                    json.dumps(document),
-                    int(priority),
-                    study,
-                    max(1, int(max_attempts)),
-                    now,
-                    now,
-                    now,
-                ),
-            )
-        note_job_enqueued()
-        return self.job(job_id)
-
-    def claim(
-        self, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> Optional[Job]:
-        """Atomically lease the next runnable job, or ``None``.
-
-        Runnable means queued with ``not_before`` due, or leased with an
-        *expired* lease (a crashed or wedged worker) — re-claiming such a job
-        is the crash-recovery path and counts as a fresh attempt.  Expired
-        jobs whose attempt budget is already spent are marked dead instead.
-        The candidate row is re-checked inside the conditional UPDATE, so
-        concurrent workers (threads or processes on the same file) never
-        claim the same job twice.
-        """
-        while True:
-            with self._lock, self._connection:
-                now = time.time()
-                row = self._execute(
-                    """
-                    SELECT id, state, attempts, max_attempts, started_at FROM jobs
-                    WHERE (state = 'queued' AND not_before <= ?)
-                       OR (state = 'leased' AND lease_expires_at <= ?)
-                    ORDER BY priority DESC, enqueued_at, id LIMIT 1
-                    """,
-                    (now, now),
-                ).fetchone()
-                if row is None:
-                    return None
-                guard = (
-                    "(state = 'queued' AND not_before <= ?) "
-                    "OR (state = 'leased' AND lease_expires_at <= ?)"
-                )
-                if row["state"] == "leased" and row["attempts"] >= row["max_attempts"]:
-                    cursor = self._execute(
-                        f"""
-                        UPDATE jobs SET state = 'dead', error = ?,
-                            lease_owner = NULL, lease_expires_at = NULL,
-                            finished_at = ?, updated_at = ?
-                        WHERE id = ? AND ({guard})
-                        """,
-                        (
-                            f"lease expired after attempt "
-                            f"{row['attempts']}/{row['max_attempts']}",
-                            now,
-                            now,
-                            row["id"],
-                            now,
-                            now,
-                        ),
-                    )
-                    if cursor.rowcount:
-                        note_job_expired_dead()
-                    continue
-                cursor = self._execute(
-                    f"""
-                    UPDATE jobs SET state = 'leased', attempts = attempts + 1,
-                        lease_owner = ?, lease_expires_at = ?, heartbeat_at = ?,
-                        started_at = COALESCE(started_at, ?), updated_at = ?
-                    WHERE id = ? AND ({guard})
-                    """,
-                    (worker_id, now + lease_seconds, now, now, now, row["id"], now, now),
-                )
-                if cursor.rowcount:
-                    note_job_claimed(reclaimed=row["state"] == "leased")
-                    return self._job_locked(row["id"])
-            # Lost the race for this candidate; look for the next one.
-
-    def heartbeat(
-        self, job_id: str, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> bool:
-        """Extend a held lease; False when the lease was lost in the meantime."""
-        now = time.time()
-        with self._lock, self._connection:
-            cursor = self._execute(
-                "UPDATE jobs SET lease_expires_at = ?, heartbeat_at = ?, updated_at = ? "
-                "WHERE id = ? AND state = 'leased' AND lease_owner = ?",
-                (now + lease_seconds, now, now, job_id, worker_id),
-            )
-        return bool(cursor.rowcount)
-
-    def _transition_held(
-        self, job_id: str, worker_id: str, sql: str, parameters: Tuple[Any, ...]
-    ) -> Job:
-        """Run a guarded leased-job UPDATE; raise :class:`JobError` on a lost lease."""
-        with self._lock, self._connection:
-            cursor = self._execute(
-                f"{sql} WHERE id = ? AND state = 'leased' AND lease_owner = ?",
-                parameters + (job_id, worker_id),
-            )
-            if cursor.rowcount:
-                return self._job_locked(job_id)
-            current = self._job_locked(job_id)
-        if current is None:
-            raise JobError(f"no job {job_id!r} in the queue")
-        raise JobError(
-            f"job {job_id!r} is not leased by {worker_id!r} "
-            f"(state {current.state!r}, owner {current.lease_owner!r})"
-        )
-
-    def complete(self, job_id: str, worker_id: str) -> Job:
-        """Mark a leased job done (the result is already in the store)."""
-        now = time.time()
-        job = self._transition_held(
-            job_id,
-            worker_id,
-            "UPDATE jobs SET state = 'done', error = NULL, lease_owner = NULL, "
-            "lease_expires_at = NULL, finished_at = ?, updated_at = ?",
-            (now, now),
-        )
-        note_job_finished(job.to_dict())
-        return job
-
-    def fail(
-        self,
-        job_id: str,
-        worker_id: str,
-        error: str,
-        retryable: bool = True,
-        delay_seconds: float = 0.0,
-    ) -> Job:
-        """Record a failed attempt; re-queues (with backoff), fails or kills."""
-        with self._lock:
-            current = self._job_locked(job_id)
-        if current is None:
-            raise JobError(f"no job {job_id!r} in the queue")
-        now = time.time()
-        state, not_before = failure_transition(
-            current.attempts, current.max_attempts, retryable, now, delay_seconds
-        )
-        job = self._transition_held(
-            job_id,
-            worker_id,
-            "UPDATE jobs SET state = ?, error = ?, not_before = ?, "
-            "lease_owner = NULL, lease_expires_at = NULL, finished_at = ?, "
-            "updated_at = ?",
-            (state, str(error), not_before, None if state == "queued" else now, now),
-        )
-        note_job_finished(job.to_dict())
-        return job
-
-    def release(self, job_id: str, worker_id: str) -> Job:
-        """Give a leased job back untouched (graceful shutdown mid-claim).
-
-        The released claim doesn't count against the retry budget.
-        """
-        now = time.time()
-        return self._transition_held(
-            job_id,
-            worker_id,
-            "UPDATE jobs SET state = 'queued', attempts = MAX(0, attempts - 1), "
-            "not_before = ?, lease_owner = NULL, lease_expires_at = NULL, "
-            "updated_at = ?",
-            (now, now),
-        )
-
-    def cancel(self, job_id: str) -> bool:
-        """Drop a *queued* job; False when absent or no longer cancellable."""
-        with self._lock, self._connection:
-            cursor = self._execute(
-                "DELETE FROM jobs WHERE id = ? AND state = 'queued'", (job_id,)
-            )
-        return bool(cursor.rowcount)
-
-    def requeue(self, job_id: str) -> Job:
-        """Reset a terminal (done/failed/dead) job to queued with a fresh budget."""
-        now = time.time()
-        placeholders = ", ".join("?" for _ in TERMINAL_STATES)
-        with self._lock, self._connection:
-            cursor = self._execute(
-                f"""
-                UPDATE jobs SET state = 'queued', attempts = 0, not_before = ?,
-                    error = NULL, lease_owner = NULL, lease_expires_at = NULL,
-                    heartbeat_at = NULL, started_at = NULL, finished_at = NULL,
-                    updated_at = ?
-                WHERE id = ? AND state IN ({placeholders})
-                """,
-                (now, now, job_id) + TERMINAL_STATES,
-            )
-            if cursor.rowcount:
-                return self._job_locked(job_id)
-            current = self._job_locked(job_id)
-        if current is None:
-            raise JobError(f"no job {job_id!r} in the queue")
-        raise JobError(
-            f"only done/failed/dead jobs can be requeued; "
-            f"{job_id!r} is {current.state!r}"
-        )
-
-    def job(self, job_id: str) -> Optional[Job]:
-        """The job with this id, or ``None``."""
-        with self._lock:
-            return self._job_locked(job_id)
-
-    def _job_locked(self, job_id: str) -> Optional[Job]:
-        row = self._execute("SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
-        return None if row is None else self._decode_job(row)
-
-    def jobs(self, state: Optional[str] = None, limit: Optional[int] = None) -> List[Job]:
-        """Jobs newest-first, optionally filtered by state."""
-        _require_state(state)
-        sql = "SELECT * FROM jobs"
-        parameters: Tuple[Any, ...] = ()
-        if state is not None:
-            sql += " WHERE state = ?"
-            parameters += (state,)
-        sql += " ORDER BY enqueued_at DESC, id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            parameters += (max(0, int(limit)),)
-        with self._lock:
-            rows = self._execute(sql, parameters).fetchall()
-        return [self._decode_job(row) for row in rows]
-
-    def jobs_stats(self) -> Dict[str, Any]:
-        """Queue telemetry: per-state counts, depth, mean wait/run times."""
-        with self._lock:
-            rows = self._execute(
-                "SELECT state, enqueued_at, started_at, finished_at FROM jobs"
-            ).fetchall()
-        return summarise_jobs([dict(row) for row in rows])
-
-    def _decode_job(self, row: sqlite3.Row) -> Job:
-        record = dict(row)
-        try:
-            record["scenario"] = json.loads(record["scenario"])
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"stored scenario for job {record['id']!r} is not valid JSON: {error}"
-            ) from None
-        return Job(**record)
-
     # -------------------------------------------------------------- maintenance
     def gc(
         self,
@@ -762,14 +468,7 @@ class ResultStore:
                 "(SELECT fingerprint FROM results)"
             )
             if max_age_seconds is not None:
-                # Finished job rows age out alongside the results they
-                # produced; live (queued/leased) jobs are never collected.
-                placeholders = ", ".join("?" for _ in TERMINAL_STATES)
-                self._execute(
-                    f"DELETE FROM jobs WHERE state IN ({placeholders}) "
-                    f"AND updated_at < ?",
-                    TERMINAL_STATES + (now - max_age_seconds,),
-                )
+                self._age_jobs(now - max_age_seconds)
             self._bump_counter("evictions", removed)
         if removed:
             get_registry().counter(

@@ -4,9 +4,16 @@ The fixtures centralise the objects almost every test needs — the paper's 4x4
 architecture, task graph and mapping — so individual tests stay short and the
 expensive constructions are reused where safe (the architecture is function
 scoped because ONIs carry mutable receiver state).
+
+A per-test watchdog ends the run, with every thread's stack on stderr, when a
+test hangs, so a hang fails the suite instead of stalling it.
 """
 
 from __future__ import annotations
+
+import faulthandler
+import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +33,34 @@ settings.load_profile("repro")
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters, OnocConfiguration
 from repro.topology import RingOnocArchitecture
+
+#: Seconds one test (setup, call and teardown) may take before the watchdog
+#: dumps every thread's stack and exits the run; the slowest test takes ~4 s.
+TEST_WATCHDOG_SECONDS = 120.0
+
+_WATCHDOG_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of the real stderr, taken while output capture is suspended:
+    # during a test fd 2 points at the capture file, which a run the
+    # watchdog exits never prints.
+    config.stash[_WATCHDOG_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_WATCHDOG_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(
+        TEST_WATCHDOG_SECONDS, exit=True, file=item.config.stash[_WATCHDOG_STDERR]
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def _subprocess_env() -> dict:
 
 @pytest.fixture(params=["memory", "sqlite"])
 def queue(request, tmp_path):
-    """Both JobQueue implementations behind the same tests."""
+    """Both store backends behind the same queue tests."""
     if request.param == "memory":
         yield MemoryStore()
     else:
@@ -265,6 +265,84 @@ class TestQueueSemantics:
         stats = queue.stats()
         assert stats["jobs_total"] == 1 and stats["jobs_depth"] == 1
 
+    def test_gc_prunes_the_study_index_and_ages_finished_jobs(self, queue):
+        done = queue.enqueue(smoke_scenario(name="done"))
+        queue.complete(queue.claim("w").id, "w")
+        waiting = queue.enqueue(smoke_scenario(name="waiting"))
+        # The study names a fingerprint no stored result carries.
+        queue.record_study("demo", [done.fingerprint])
+        time.sleep(0.05)
+        queue.gc(max_age_seconds=0.01)
+        assert queue.studies() == {}
+        assert [job.id for job in queue.jobs()] == [waiting.id]
+
+
+# ----------------------------------------------------------- concurrent claims
+def _race_claims(handles) -> dict:
+    """One thread per handle claims and completes until the queue is empty.
+
+    Returns job id -> the workers that leased it.  The switch interval is
+    shortened so the threads interleave inside ``claim``.
+    """
+    claims: dict = {}
+    errors: list = []
+    lock = threading.Lock()
+
+    def drain(worker_id, handle):
+        try:
+            while (job := handle.claim(worker_id)) is not None:
+                with lock:
+                    claims.setdefault(job.id, []).append(worker_id)
+                handle.complete(job.id, worker_id)
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=drain, args=(f"w{n}", handle))
+        for n, handle in enumerate(handles)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return claims
+
+
+class TestConcurrentClaims:
+    JOBS = 40
+
+    def _enqueue(self, queue) -> set:
+        return {
+            queue.enqueue(smoke_scenario(name=f"race-{n}")).id
+            for n in range(self.JOBS)
+        }
+
+    def _assert_each_job_leased_once(self, queue, ids, claims):
+        assert set(claims) == ids
+        assert all(len(workers) == 1 for workers in claims.values())
+        jobs = queue.jobs()
+        assert len(jobs) == self.JOBS
+        assert all(job.state == "done" and job.attempts == 1 for job in jobs)
+
+    def test_threads_never_claim_a_job_twice(self, queue):
+        ids = self._enqueue(queue)
+        claims = _race_claims([queue] * 4)
+        self._assert_each_job_leased_once(queue, ids, claims)
+
+    def test_two_handles_on_one_file_never_claim_a_job_twice(self, tmp_path):
+        path = tmp_path / "race.sqlite"
+        with ResultStore(path) as first, ResultStore(path) as second:
+            ids = self._enqueue(first)
+            claims = _race_claims([first, second, first, second])
+            self._assert_each_job_leased_once(second, ids, claims)
+
 
 # ------------------------------------------------------------ submission paths
 class TestSubmissions:
@@ -441,19 +519,18 @@ class TestWorker:
         assert worker.stopping
         worker.run()  # returns immediately once stopped
 
-    def test_heartbeat_keeps_a_slow_job_leased(self, tmp_path, monkeypatch):
+    def test_heartbeat_keeps_a_slow_job_leased(self, queue, monkeypatch):
         def slow(*args, **kwargs):
             time.sleep(0.5)
             raise ScenarioError("done sleeping")
 
         monkeypatch.setattr("repro.scenarios.study.fetch_or_execute", slow)
-        with ResultStore(tmp_path / "q.sqlite") as store:
-            job = store.enqueue(smoke_scenario())
-            # Lease far shorter than the job: only heartbeats keep it alive.
-            worker = Worker(store, lease_seconds=0.2)
-            worker.process_one()
-            assert worker.stats.lost_leases == 0
-            assert store.job(job.id).state == "failed"
+        job = queue.enqueue(smoke_scenario())
+        # Lease far shorter than the job: only heartbeats keep it alive.
+        worker = Worker(queue, lease_seconds=0.2)
+        worker.process_one()
+        assert worker.stats.lost_leases == 0
+        assert queue.job(job.id).state == "failed"
 
     def test_worker_pool_drains_the_queue(self, tmp_path):
         path = tmp_path / "pool.sqlite"

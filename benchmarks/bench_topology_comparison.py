@@ -9,8 +9,8 @@ For every registered topology this benchmark measures
 * the **static worst-case link loss** the topology imposes (Li-style
   comparison figure),
 
-and writes them to ``BENCH_topology.json`` — the artefact the CI
-``engine-bench`` smoke job uploads next to ``BENCH_engine.json``::
+and writes them to ``BENCH_topology.json`` — one of the reports the CI
+``engine-bench`` smoke job uploads::
 
     PYTHONPATH=src python benchmarks/bench_topology_comparison.py \
         --output BENCH_topology.json --check

@@ -22,11 +22,11 @@ objective evaluation runs through the
 that skips chromosomes already evaluated earlier in the run.  Selection builds
 one domination matrix per generation: environmental selection sorts the
 merged parent+offspring pool with it, and the survivors' block of it is the
-next generation's tournament sort.  Setting ``engine="scalar"`` keeps the
-identical operators and random stream but routes evaluation through the
-readable scalar :class:`~repro.allocation.objectives.AllocationEvaluator` and
-selection through the pure-Python oracles — the test-suite uses this to pin
-down batch/scalar determinism.
+next generation's tournament sort.  The test-suite replays the same
+operators and random stream through the readable scalar
+:class:`~repro.allocation.objectives.AllocationEvaluator` and the pure-Python
+selection oracles (``tests/oracles.py``) to pin down batch/scalar
+determinism.
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
@@ -48,14 +48,10 @@ from ..config import GeneticParameters
 from ..errors import AllocationError
 from ..telemetry import MetricsRegistry, Stopwatch, get_registry, span, timed_span
 from .batch import BatchEvaluation, BatchEvaluator
-from .chromosome import Chromosome
 from .objectives import AllocationEvaluator, AllocationSolution, ObjectiveVector
 from .pareto import ParetoFront, crowding_distance, dominance_matrix, non_dominated_sort
 
 __all__ = ["GenerationRecord", "Nsga2Result", "Nsga2Optimizer"]
-
-#: Evaluation engines accepted by :class:`Nsga2Optimizer`.
-_ENGINES = ("batch", "scalar")
 
 #: Registry series the run books are derived from (one registry per run).
 EVALUATIONS_METRIC = "repro_engine_evaluations_total"
@@ -104,7 +100,6 @@ class Nsga2Result:
     evaluations: int = 0
     memo_hits: int = 0
     wall_clock_seconds: float = 0.0
-    engine: str = "batch"
     #: Run totals of the per-generation phase split (see :class:`GenerationRecord`).
     evaluation_seconds: float = 0.0
     selection_seconds: float = 0.0
@@ -147,11 +142,10 @@ class _RunArchive:
 
     ``rows`` is the memo: gene bytes → archive row, in discovery order;
     ``objectives`` (time, ber, energy) and ``valid`` are indexed by row.  No
-    solution is built while the run searches.  A batch-engine row keeps its
-    place in its generation's :class:`BatchEvaluation` (restricted to the
-    valid rows) and is materialised through :meth:`BatchEvaluation.solution`
-    the first time it is read, then cached; the scalar engine hands over its
-    already-built solutions.
+    solution is built while the run searches.  A row keeps its place in its
+    generation's :class:`BatchEvaluation` (restricted to the valid rows) and is
+    materialised through :meth:`BatchEvaluation.solution` the first time it is
+    read, then cached.
     """
 
     def __init__(self, batch: BatchEvaluator, capacity: int) -> None:
@@ -171,19 +165,6 @@ class _RunArchive:
         newcomers = self._append(keys, evaluation.objective_matrix(), evaluation.valid)
         if newcomers.size:
             self._attach(newcomers, evaluation.take(np.flatnonzero(evaluation.valid)))
-        return newcomers
-
-    def add_solutions(
-        self, keys: List[bytes], solutions: List[AllocationSolution]
-    ) -> np.ndarray:
-        """Append scalar-evaluated solutions; returns the valid rows."""
-        start = len(self.rows)
-        newcomers = self._append(
-            keys,
-            np.array([solution.objectives.as_tuple() for solution in solutions]),
-            np.array([solution.is_valid for solution in solutions], dtype=bool),
-        )
-        self._solutions.update(enumerate(solutions, start))
         return newcomers
 
     def _append(self, keys: List[bytes], objectives: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -212,15 +193,11 @@ class _RunArchive:
     def population(self, matrix: np.ndarray) -> List[AllocationSolution]:
         """Solutions of a population matrix whose rows are all in the archive.
 
-        Invalid rows are kept in no batch; the ones not yet materialised are
-        wrapped in one :meth:`BatchEvaluator.invalid_batch` first.
+        Invalid rows are kept in no batch; they are wrapped in one
+        :meth:`BatchEvaluator.invalid_batch` first.
         """
         rows = [self.rows[genes.tobytes()] for genes in matrix]
-        pending = {
-            row: index
-            for index, row in enumerate(rows)
-            if self._source[row] < 0 and row not in self._solutions
-        }
+        pending = {row: index for index, row in enumerate(rows) if self._source[row] < 0}
         if pending:
             self._attach(
                 np.fromiter(pending, dtype=np.intp, count=len(pending)),
@@ -281,12 +258,6 @@ class Nsga2Optimizer:
         Which objectives to optimise (subset of ``("time", "ber", "energy")``).
         The paper draws its Fig. 6a front on (time, energy) and its Fig. 6b /
         Fig. 7 fronts on (time, ber); the default optimises all three at once.
-    engine:
-        ``"batch"`` (default) evaluates whole populations through the
-        vectorized :class:`~repro.allocation.batch.BatchEvaluator`;
-        ``"scalar"`` evaluates row by row through the reference evaluator with
-        the same operators and random stream (slow — used by equivalence and
-        determinism tests).
     """
 
     def __init__(
@@ -294,7 +265,6 @@ class Nsga2Optimizer:
         evaluator: AllocationEvaluator,
         parameters: Optional[GeneticParameters] = None,
         objective_keys: Sequence[str] = ObjectiveVector.KEYS,
-        engine: str = "batch",
     ) -> None:
         self._evaluator = evaluator
         self._parameters = parameters or GeneticParameters()
@@ -304,16 +274,7 @@ class Nsga2Optimizer:
         for key in keys:
             if key not in ObjectiveVector.KEYS:
                 raise AllocationError(f"unknown objective key {key!r}")
-        if engine not in _ENGINES:
-            raise AllocationError(
-                f"unknown evaluation engine {engine!r}; choose from {_ENGINES}"
-            )
         self._objective_keys = keys
-        self._engine = engine
-        #: Selection kernels follow the evaluation engine: the batch engine
-        #: uses the NumPy-broadcast sort/crowding/front kernels, the scalar
-        #: engine the pure-Python oracle (bit-identical, equivalence-tested).
-        self._kernel_engine = "vectorized" if engine == "batch" else "python"
         self._batch = evaluator.batch()
         self._rng = np.random.default_rng(self._parameters.seed)
         self._genome = evaluator.communication_count * evaluator.wavelength_count
@@ -339,11 +300,6 @@ class Nsga2Optimizer:
     def evaluator(self) -> AllocationEvaluator:
         """The scalar reference evaluator describing the scenario."""
         return self._evaluator
-
-    @property
-    def engine(self) -> str:
-        """The evaluation engine in use (``"batch"`` or ``"scalar"``)."""
-        return self._engine
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -375,7 +331,6 @@ class Nsga2Optimizer:
 
         with span(
             "engine.run",
-            engine=self._engine,
             population=parameters.population_size,
             generations=parameters.generations,
         ), Stopwatch() as run_watch:
@@ -433,7 +388,6 @@ class Nsga2Optimizer:
             evaluations=int(registry.counter_value(EVALUATIONS_METRIC)),
             memo_hits=int(registry.counter_value(MEMO_HITS_METRIC)),
             wall_clock_seconds=run_watch.elapsed,
-            engine=self._engine,
             evaluation_seconds=registry.histogram_stats(
                 PHASE_METRIC, phase="evaluation"
             )["sum"],
@@ -487,9 +441,9 @@ class Nsga2Optimizer:
         Returns the full three-objective matrix (``inf`` rows for invalid
         chromosomes).  Memo misses are evaluated once and appended to the run
         archive; no solution is materialised here.  The valid newcomers join
-        the run-wide Pareto front as archive rows — the batch engine in one
-        batched :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call
-        per generation, the scalar engine one by one (the oracle path).
+        the run-wide Pareto front as archive rows in one batched
+        :meth:`~repro.allocation.pareto.ParetoFront.extend_array` call per
+        generation.
         """
         registry = self._metrics
         with timed_span(
@@ -513,18 +467,8 @@ class Nsga2Optimizer:
             newcomers = np.zeros(0, dtype=np.intp)
             if fresh:
                 registry.counter(EVALUATIONS_METRIC).inc(len(fresh))
-                fresh_indices = list(fresh.values())
-                if self._engine == "batch":
-                    evaluation = self._batch.evaluate_population(matrix[fresh_indices])
-                    newcomers = archive.add_batch(list(fresh), evaluation)
-                else:
-                    nl = self._evaluator.communication_count
-                    nw = self._evaluator.wavelength_count
-                    solutions = [
-                        self._evaluator.evaluate(Chromosome.from_numpy(matrix[index], nl, nw))
-                        for index in fresh_indices
-                    ]
-                    newcomers = archive.add_solutions(list(fresh), solutions)
+                evaluation = self._batch.evaluate_population(matrix[list(fresh.values())])
+                newcomers = archive.add_batch(list(fresh), evaluation)
 
             rows = np.fromiter((memo[key] for key in keys), dtype=np.intp, count=len(keys))
             objectives = archive.objectives[rows]
@@ -537,11 +481,7 @@ class Nsga2Optimizer:
                 phase="selection",
             ):
                 keyed = archive.objectives[np.ix_(newcomers, self._objective_columns)]
-                if self._engine == "batch":
-                    front.extend_array(keyed, newcomers.tolist())
-                else:
-                    for row, objective in zip(newcomers.tolist(), keyed.tolist()):
-                        front.add(row, objective)
+                front.extend_array(keyed, newcomers.tolist())
         return objectives
 
     def _keyed(self, objectives: np.ndarray) -> np.ndarray:
@@ -568,27 +508,23 @@ class Nsga2Optimizer:
             phase="selection",
         ):
             keyed = self._keyed(objectives)
-            fronts = non_dominated_sort(
-                keyed, engine=self._kernel_engine, dominated=dominated
-            )
+            fronts = non_dominated_sort(keyed, dominated=dominated)
             rank = np.zeros(len(keyed), dtype=int)
             distance = np.zeros(len(keyed))
             for front_position, front_indices in enumerate(fronts):
                 indices = np.asarray(front_indices, dtype=int)
                 rank[indices] = front_position
-                distance[indices] = crowding_distance(
-                    keyed[indices], engine=self._kernel_engine
-                )
+                distance[indices] = crowding_distance(keyed[indices])
         return rank.tolist(), distance.tolist()
 
     def _environmental_selection(
         self, objectives: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Survivors among the merged parent+offspring pool.
 
-        Returns their indices and, on the vectorized path, their block of the
-        pool's domination matrix — exactly the survivors' own domination
-        matrix, since dominance between two rows depends only on those rows.
+        Returns their indices and their block of the pool's domination
+        matrix — exactly the survivors' own domination matrix, since dominance
+        between two rows depends only on those rows.
         """
         with timed_span(
             "engine.selection",
@@ -598,12 +534,8 @@ class Nsga2Optimizer:
         ):
             target = self._parameters.population_size
             keyed = self._keyed(objectives)
-            pool_dominated = (
-                dominance_matrix(keyed) if self._kernel_engine == "vectorized" else None
-            )
-            fronts = non_dominated_sort(
-                keyed, engine=self._kernel_engine, dominated=pool_dominated
-            )
+            pool_dominated = dominance_matrix(keyed)
+            fronts = non_dominated_sort(keyed, dominated=pool_dominated)
             selected: List[int] = []
             for front_indices in fronts:
                 if len(selected) + len(front_indices) <= target:
@@ -612,18 +544,13 @@ class Nsga2Optimizer:
                 remaining = target - len(selected)
                 if remaining <= 0:
                     break
-                distances = crowding_distance(
-                    keyed[np.asarray(front_indices, dtype=int)],
-                    engine=self._kernel_engine,
-                )
+                distances = crowding_distance(keyed[np.asarray(front_indices, dtype=int)])
                 order = np.argsort(-distances, kind="stable")
                 selected.extend(
                     front_indices[position] for position in order[:remaining]
                 )
                 break
             survivors = np.asarray(selected, dtype=int)
-            if pool_dominated is None:
-                return survivors, None
             return survivors, pool_dominated[np.ix_(survivors, survivors)]
 
     def _make_offspring(

@@ -12,21 +12,12 @@ All objectives are minimised.  The functions operate on plain objective arrays
 so they are reusable outside the GA (the exhaustive search and the analysis
 module use them too).
 
-Like objective evaluation, selection exists in two deliberately redundant
-implementations:
-
-* **Pure-Python oracle** — :func:`non_dominated_sort_python` /
-  :func:`crowding_distance_python` keep the readable, textbook O(N²·M) code
-  (the historical implementation).  They define the semantics, including the
-  exact front *order* Deb's book-keeping produces and the exact floating-point
-  summation order of the crowding distances.
-* **Vectorized kernels** — :func:`non_dominated_sort_numpy` /
-  :func:`crowding_distance_numpy` compute the same results through NumPy
-  (one pairwise domination matrix, iterative front peeling; per-objective
-  ``argsort`` + neighbour-gap ``diff``).  They are constructed to reproduce
-  the oracle bit for bit — identical front index order, distances to 0 ulp —
-  and the randomized equivalence suite in ``tests/test_selection_kernels.py``
-  pins that down.
+Both kernels are vectorized: :func:`non_dominated_sort` peels fronts off one
+pairwise domination matrix, :func:`crowding_distance` turns each objective's
+neighbour gaps into one ``argsort`` and slice difference.  They reproduce
+Deb's textbook book-keeping exactly — the same front index order, crowding
+distances to 0 ulp — and ``tests/test_selection_kernels.py`` checks that
+against the readable pure-Python oracles kept in ``tests/oracles.py``.
 
 Every pairwise comparison — :func:`dominance_matrix` and the batched
 :meth:`ParetoFront.extend_array` — goes through one kernel, ``_no_worse``,
@@ -36,10 +27,6 @@ already holds the domination matrix of a pool (NSGA-II keeps the survivors'
 block of the previous generation's matrix) hands it to
 :func:`non_dominated_sort` through ``dominated=`` instead of rebuilding it:
 dominance between two rows depends only on those two rows.
-
-The public :func:`non_dominated_sort` / :func:`crowding_distance` entry points
-dispatch to the vectorized kernels by default; ``engine="python"`` selects the
-oracle (the GA's ``engine="scalar"`` plumbing routes through it).
 """
 
 from __future__ import annotations
@@ -53,18 +40,11 @@ __all__ = [
     "dominates",
     "dominance_matrix",
     "non_dominated_sort",
-    "non_dominated_sort_numpy",
-    "non_dominated_sort_python",
     "crowding_distance",
-    "crowding_distance_numpy",
-    "crowding_distance_python",
     "ParetoFront",
 ]
 
 T = TypeVar("T")
-
-#: Selection-kernel engines accepted by the dispatching entry points.
-_KERNEL_ENGINES = ("vectorized", "python")
 
 #: Finite stand-in for infinite objectives inside the crowding computation.
 _INF_CLAMP = 1.0e300
@@ -82,16 +62,6 @@ def dominates(first: Sequence[float], second: Sequence[float]) -> bool:
     """
     if len(first) != len(second):
         raise ValueError("objective vectors must have the same length")
-    return _dominates_unchecked(first, second)
-
-
-def _dominates_unchecked(first: Sequence[float], second: Sequence[float]) -> bool:
-    """The dominance test without the length check (sort-kernel hot path).
-
-    The oracle sort calls this O(N²) times per generation; hoisting the length
-    validation (the vectors all come from one objective matrix) keeps the
-    public :func:`dominates` contract without paying for it per pair.
-    """
     strictly_better = False
     for a, b in zip(first, second):
         if a > b:
@@ -135,9 +105,7 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
 
 
 def non_dominated_sort(
-    objectives: Sequence[Sequence[float]],
-    engine: str = "vectorized",
-    dominated: Optional[np.ndarray] = None,
+    objectives: Sequence[Sequence[float]], dominated: Optional[np.ndarray] = None
 ) -> List[List[int]]:
     """Fast non-dominated sort of Deb et al.
 
@@ -146,86 +114,27 @@ def non_dominated_sort(
     objectives:
         One objective vector per solution (all minimised); any sequence of
         sequences or an ``(N, M)`` array.
-    engine:
-        ``"vectorized"`` (default) runs the NumPy kernel, ``"python"`` the
-        pure-Python oracle.  Both produce identical fronts in identical index
-        order.
     dominated:
         The :func:`dominance_matrix` of ``objectives`` when the caller already
-        has it; the vectorized kernel then skips building it (the oracle
-        ignores it).
+        has it; the sort then skips building it.
 
     Returns
     -------
     list of fronts, each a list of solution indices; the first front contains
     the non-dominated solutions.
-    """
-    if engine not in _KERNEL_ENGINES:
-        raise ValueError(
-            f"unknown selection-kernel engine {engine!r}; choose from {_KERNEL_ENGINES}"
-        )
-    if engine == "python":
-        return non_dominated_sort_python(objectives)
-    count = len(objectives)
-    if count == 0:
-        return []
-    return non_dominated_sort_numpy(np.asarray(objectives, dtype=float), dominated)
 
-
-def non_dominated_sort_python(
-    objectives: Sequence[Sequence[float]],
-) -> List[List[int]]:
-    """The pure-Python oracle sort (historical implementation, O(N²·M))."""
-    count = len(objectives)
-    if count == 0:
-        return []
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_counter = [0] * count
-    fronts: List[List[int]] = [[]]
-
-    for p in range(count):
-        for q in range(count):
-            if p == q:
-                continue
-            if _dominates_unchecked(objectives[p], objectives[q]):
-                dominated_by[p].append(q)
-            elif _dominates_unchecked(objectives[q], objectives[p]):
-                domination_counter[p] += 1
-        if domination_counter[p] == 0:
-            fronts[0].append(p)
-
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for p in fronts[current]:
-            for q in dominated_by[p]:
-                domination_counter[q] -= 1
-                if domination_counter[q] == 0:
-                    next_front.append(q)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the last front is always empty
-    return fronts
-
-
-def non_dominated_sort_numpy(
-    objectives: np.ndarray, dominated: Optional[np.ndarray] = None
-) -> List[List[int]]:
-    """Vectorized non-dominated sort over an ``(N, M)`` objective matrix.
-
-    The domination matrix (built by :func:`dominance_matrix` unless the caller
-    passes it as ``dominated``) gives each solution's domination count, then
-    fronts are peeled iteratively: the solutions whose remaining domination
-    count reaches zero form the next front.  The emitted index order
-    reproduces Deb's book-keeping exactly — the oracle appends a solution the
+    The domination matrix gives each solution's domination count, then fronts
+    are peeled iteratively: the solutions whose remaining domination count
+    reaches zero form the next front.  The emitted index order reproduces
+    Deb's book-keeping exactly — the textbook sort appends a solution the
     moment its *last* dominator in the current front is processed, so each
     peeled front is ordered by ``(position of that last dominator within the
     current front, index)``.
     """
-    matrix = np.asarray(objectives, dtype=float)
-    count = matrix.shape[0]
+    count = len(objectives)
     if count == 0:
         return []
+    matrix = np.asarray(objectives, dtype=float)
     if dominated is None:
         dominated = dominance_matrix(matrix)
     elif dominated.shape != (count, count):
@@ -252,68 +161,23 @@ def non_dominated_sort_numpy(
     return fronts
 
 
-def crowding_distance(
-    objectives: Sequence[Sequence[float]], engine: str = "vectorized"
-) -> np.ndarray:
+def crowding_distance(objectives: Sequence[Sequence[float]]) -> np.ndarray:
     """Crowding distance of every solution of one front.
 
     Boundary solutions of each objective receive an infinite distance so they
     are always preferred; interior solutions receive the normalised size of the
-    cuboid formed by their nearest neighbours.  ``engine`` picks the vectorized
-    kernel (default) or the pure-Python oracle; both return bit-identical
-    distances.
+    cuboid formed by their nearest neighbours.  Per objective column: one
+    stable ``argsort``, the neighbour gaps as a single ``values[2:] -
+    values[:-2]`` slice difference, scattered back with one fancy-indexed add.
+    Objectives accumulate in column order, so the distances match the textbook
+    per-neighbour loop to 0 ulp.
     """
-    if engine not in _KERNEL_ENGINES:
-        raise ValueError(
-            f"unknown selection-kernel engine {engine!r}; choose from {_KERNEL_ENGINES}"
-        )
-    if engine == "python":
-        return crowding_distance_python(objectives)
-    count = len(objectives)
-    if count == 0:
-        return np.zeros(0)
-    return crowding_distance_numpy(np.asarray(objectives, dtype=float))
-
-
-def crowding_distance_python(objectives: Sequence[Sequence[float]]) -> np.ndarray:
-    """The pure-Python oracle crowding distance (historical implementation)."""
     count = len(objectives)
     if count == 0:
         return np.zeros(0)
     matrix = np.asarray(objectives, dtype=float)
     # Invalid solutions carry infinite objectives; clamp them to a large finite
     # value so the sort and the neighbour differences stay well defined.
-    matrix = np.where(np.isfinite(matrix), matrix, _INF_CLAMP)
-    distances = np.zeros(count)
-    objective_count = matrix.shape[1]
-    for objective in range(objective_count):
-        order = np.argsort(matrix[:, objective], kind="stable")
-        values = matrix[order, objective]
-        distances[order[0]] = float("inf")
-        distances[order[-1]] = float("inf")
-        span = values[-1] - values[0]
-        if span <= 0.0 or count < 3:
-            continue
-        for position in range(1, count - 1):
-            distances[order[position]] += (
-                values[position + 1] - values[position - 1]
-            ) / span
-    return distances
-
-
-def crowding_distance_numpy(objectives: np.ndarray) -> np.ndarray:
-    """Vectorized crowding distance over an ``(N, M)`` objective matrix.
-
-    Per objective column: one stable ``argsort``, the neighbour gaps as a
-    single ``values[2:] - values[:-2]`` slice difference, scattered back with
-    one fancy-indexed add.  Objectives accumulate in column order with the
-    same elementwise operations as the oracle, so the distances match to
-    0 ulp.
-    """
-    matrix = np.asarray(objectives, dtype=float)
-    count = matrix.shape[0]
-    if count == 0:
-        return np.zeros(0)
     matrix = np.where(np.isfinite(matrix), matrix, _INF_CLAMP)
     distances = np.zeros(count)
     order = np.argsort(matrix, axis=0, kind="stable")

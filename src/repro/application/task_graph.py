@@ -3,17 +3,20 @@
 A task graph ``TG = G(T, D)`` is a directed acyclic graph whose vertices are
 computation tasks (annotated with an execution time in clock cycles) and whose
 edges are communications (annotated with a volume in bits).  The class below
-wraps a :class:`networkx.DiGraph` with validation, convenient accessors and the
-edge ordering used by the chromosome encoding (edges are numbered ``c0`` ...
-``c{Nl-1}`` in insertion order, as in Fig. 4/5 of the paper).
+keeps tasks, successors and predecessors in insertion-ordered dicts, with
+validation, convenient accessors and the edge ordering used by the chromosome
+encoding (edges are numbered ``c0`` ... ``c{Nl-1}`` in insertion order, as in
+Fig. 4/5 of the paper).  Every order it reports is deterministic: neighbour
+lists follow edge insertion, and :meth:`TaskGraph.topological_order` is Kahn's
+algorithm taken generation by generation (entry tasks in insertion order, then
+children in edge-insertion order) — the list scheduler and the simulator
+break their ties in these orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import TaskGraphError
 
@@ -86,7 +89,11 @@ class TaskGraph:
 
     def __init__(self, name: str = "application") -> None:
         self._name = name
-        self._graph = nx.DiGraph()
+        self._tasks: Dict[str, Task] = {}
+        #: Task -> {successor: edge}, in edge-insertion order.
+        self._successors: Dict[str, Dict[str, CommunicationEdge]] = {}
+        #: Task -> predecessors, in edge-insertion order.
+        self._predecessors: Dict[str, List[str]] = {}
         self._edges: List[CommunicationEdge] = []
 
     # ---------------------------------------------------------------- building
@@ -97,10 +104,12 @@ class TaskGraph:
 
     def add_task(self, name: str, execution_cycles: float) -> Task:
         """Add a task; raises if the name already exists."""
-        if name in self._graph:
+        if name in self._tasks:
             raise TaskGraphError(f"task {name} already exists")
         task = Task(name=name, execution_cycles=execution_cycles)
-        self._graph.add_node(name, task=task)
+        self._tasks[name] = task
+        self._successors[name] = {}
+        self._predecessors[name] = []
         return task
 
     def add_tasks(self, tasks: Iterable[Tuple[str, float]]) -> List[Task]:
@@ -112,9 +121,9 @@ class TaskGraph:
     ) -> CommunicationEdge:
         """Add a directed communication edge; raises on duplicates or cycles."""
         for endpoint in (source, destination):
-            if endpoint not in self._graph:
+            if endpoint not in self._tasks:
                 raise TaskGraphError(f"unknown task {endpoint}")
-        if self._graph.has_edge(source, destination):
+        if destination in self._successors[source]:
             raise TaskGraphError(f"edge {source}->{destination} already exists")
         edge = CommunicationEdge(
             index=len(self._edges),
@@ -122,20 +131,34 @@ class TaskGraph:
             destination=destination,
             volume_bits=volume_bits,
         )
-        self._graph.add_edge(source, destination, edge=edge)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(source, destination)
+        if self._reaches(destination, source):
             raise TaskGraphError(
                 f"edge {source}->{destination} would create a cycle in the task graph"
             )
+        self._successors[source][destination] = edge
+        self._predecessors[destination].append(source)
         self._edges.append(edge)
         return edge
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """True when a directed path leads from ``start`` to ``target``."""
+        pending = [start]
+        seen = {start}
+        while pending:
+            name = pending.pop()
+            if name == target:
+                return True
+            for successor in self._successors[name]:
+                if successor not in seen:
+                    seen.add(successor)
+                    pending.append(successor)
+        return False
 
     # ----------------------------------------------------------------- access
     @property
     def task_count(self) -> int:
         """Number of tasks ``Nt``."""
-        return self._graph.number_of_nodes()
+        return len(self._tasks)
 
     @property
     def communication_count(self) -> int:
@@ -144,17 +167,17 @@ class TaskGraph:
 
     def task(self, name: str) -> Task:
         """The task object of ``name``."""
-        if name not in self._graph:
+        if name not in self._tasks:
             raise TaskGraphError(f"unknown task {name}")
-        return self._graph.nodes[name]["task"]
+        return self._tasks[name]
 
     def tasks(self) -> List[Task]:
         """Every task, in insertion order."""
-        return [self._graph.nodes[name]["task"] for name in self._graph.nodes]
+        return list(self._tasks.values())
 
     def task_names(self) -> List[str]:
         """Every task name, in insertion order."""
-        return list(self._graph.nodes)
+        return list(self._tasks)
 
     def communications(self) -> List[CommunicationEdge]:
         """Every communication edge, in chromosome order (``c0``, ``c1``...)."""
@@ -168,31 +191,44 @@ class TaskGraph:
 
     def communication_between(self, source: str, destination: str) -> CommunicationEdge:
         """The edge from ``source`` to ``destination``."""
-        if not self._graph.has_edge(source, destination):
+        edge = self._successors.get(source, {}).get(destination)
+        if edge is None:
             raise TaskGraphError(f"no edge {source}->{destination}")
-        return self._graph.edges[source, destination]["edge"]
+        return edge
 
     def predecessors(self, name: str) -> List[str]:
-        """``pre(T)`` — names of the tasks feeding ``name``."""
+        """``pre(T)`` — names of the tasks feeding ``name``, in edge-insertion order."""
         self.task(name)
-        return list(self._graph.predecessors(name))
+        return list(self._predecessors[name])
 
     def successors(self, name: str) -> List[str]:
-        """Names of the tasks consuming the output of ``name``."""
+        """Names of the tasks consuming the output of ``name``, in edge-insertion order."""
         self.task(name)
-        return list(self._graph.successors(name))
+        return list(self._successors[name])
 
     def entry_tasks(self) -> List[str]:
-        """Tasks without predecessors."""
-        return [name for name in self._graph.nodes if self._graph.in_degree(name) == 0]
+        """Tasks without predecessors, in insertion order."""
+        return [name for name, feeding in self._predecessors.items() if not feeding]
 
     def exit_tasks(self) -> List[str]:
-        """Tasks without successors."""
-        return [name for name in self._graph.nodes if self._graph.out_degree(name) == 0]
+        """Tasks without successors, in insertion order."""
+        return [name for name, consuming in self._successors.items() if not consuming]
 
     def topological_order(self) -> List[str]:
-        """A topological ordering of the task names."""
-        return list(nx.topological_sort(self._graph))
+        """The task names in Kahn's order, one generation after another.
+
+        The entry tasks come first, in insertion order; a task follows as soon
+        as its last predecessor has been emitted, and the children of each
+        emitted task are released in edge-insertion order.
+        """
+        waiting = {name: len(feeding) for name, feeding in self._predecessors.items()}
+        order = self.entry_tasks()
+        for name in order:  # ``order`` grows while it is walked: a FIFO queue
+            for successor in self._successors[name]:
+                waiting[successor] -= 1
+                if waiting[successor] == 0:
+                    order.append(successor)
+        return order
 
     def total_volume_bits(self) -> float:
         """Sum of the volumes of every communication edge."""
@@ -217,15 +253,11 @@ class TaskGraph:
             completion[name] = earliest + task.execution_cycles
         return max(completion.values(), default=0.0)
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying directed graph."""
-        return self._graph.copy()
-
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._tasks
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._graph.nodes)
+        return iter(self._tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

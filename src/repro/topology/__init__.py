@@ -25,8 +25,8 @@ Module map:
 * :mod:`~repro.topology.ring`         — the unidirectional ring waveguide and
   source-to-destination path computation.
 * :mod:`~repro.topology.architecture` — the aggregate
-  :class:`~repro.topology.architecture.RingOnocArchitecture` and its
-  Architecture Characterization Graph (ACG).
+  :class:`~repro.topology.architecture.RingOnocArchitecture`, whose ring
+  segments are the paper's Architecture Characterization Graph (ACG).
 * :mod:`~repro.topology.base`         — the :class:`OnocTopology` protocol.
 * :mod:`~repro.topology.multi_ring`   — the 3D multi-ring stack.
 * :mod:`~repro.topology.crossbar`     — the optical crossbar.

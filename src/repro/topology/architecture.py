@@ -3,17 +3,15 @@
 :class:`RingOnocArchitecture` ties together the physical tile layout, the ring
 waveguide, the WDM wavelength grid and one Optical Network Interface per core.
 It is the object every higher-level model (power loss, scheduling, wavelength
-allocation, simulation) receives, and it also materialises the *Architecture
-Characterization Graph* (ACG) of Definition 2 in the paper as a
-:class:`networkx.Graph`.
+allocation, simulation) receives.  The paper's *Architecture Characterization
+Graph* (ACG, Definition 2) is its ring: the cores are the vertices and
+:attr:`RingWaveguide.segments` the edges, each with its length and bends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..config import OnocConfiguration, PhotonicParameters
 from ..devices.waveguide import WaveguidePath
@@ -196,26 +194,6 @@ class RingOnocArchitecture:
         return ring_style_crosstalk_path_loss_db(
             self, source_core, destination_core, victim_destination, parameters
         )
-
-    # -------------------------------------------------------------------- ACG
-    def characterization_graph(self) -> nx.Graph:
-        """The Architecture Characterization Graph (Definition 2 of the paper).
-
-        Vertices are IP cores; edges connect cores whose ONIs are adjacent on
-        the ring waveguide, annotated with the physical segment geometry.
-        """
-        graph = nx.Graph()
-        for core in self.core_ids():
-            coordinate = self.layout.coordinate_of(core)
-            graph.add_node(core, row=coordinate.row, column=coordinate.column)
-        for segment in self.ring.segments:
-            graph.add_edge(
-                segment.source_oni,
-                segment.destination_oni,
-                length_cm=segment.length_cm,
-                bend_count=segment.bend_count,
-            )
-        return graph
 
     def segment_usage(
         self, endpoints: Sequence[Tuple[int, int]]

@@ -4,9 +4,8 @@ Historically the whole stack was written against the single serpentine
 :class:`~repro.topology.architecture.RingOnocArchitecture`.  The
 :class:`OnocTopology` protocol captures the exact surface those consumers
 need — source-to-destination :class:`~repro.devices.waveguide.WaveguidePath`
-objects, micro-ring crossing counts, topology-specific loss terms, directed
-segment usage for conflict analysis, the characterization graph — so that the
-power-loss models, the allocation evaluators, the discrete-event simulator and
+objects, micro-ring crossing counts, topology-specific loss terms and
+directed segment usage for conflict analysis — so that the power-loss models, the allocation evaluators, the discrete-event simulator and
 the scenario layer all work unmodified on any registered topology
 (:data:`~repro.topology.registry.TOPOLOGIES`).
 
@@ -43,8 +42,6 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
-
-import networkx as nx
 
 from ..config import OnocConfiguration, PhotonicParameters
 from ..devices.waveguide import WaveguidePath
@@ -142,10 +139,6 @@ class OnocTopology(Protocol):
         ...
 
     # ------------------------------------------------------------------ misc
-    def characterization_graph(self) -> nx.Graph:
-        """The Architecture Characterization Graph of the topology."""
-        ...
-
     def with_wavelength_count(self, wavelength_count: int) -> "OnocTopology":
         """A fresh copy of this topology carrying a different WDM comb."""
         ...

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..config import OnocConfiguration, PhotonicParameters
 from ..devices.waveguide import WaveguidePath, WaveguideSegment
 from ..devices.wavelength_grid import WavelengthGrid
@@ -261,37 +259,6 @@ class CrossbarOnocArchitecture:
     ) -> Dict[Tuple[int, int], List[int]]:
         """Directed-segment usage over the row/column waveguides."""
         return generic_segment_usage(self, endpoints)
-
-    # -------------------------------------------------------------------- ACG
-    def characterization_graph(self) -> nx.Graph:
-        """The Architecture Characterization Graph of the crossbar.
-
-        Vertices are the IP cores (with their tile coordinates) and the
-        crosspoint pseudo-nodes (flagged ``crosspoint=True``); edges follow
-        the row and column waveguides with their physical segment geometry.
-        """
-        graph = nx.Graph()
-        pitch = self.layout.tile_pitch_cm
-        for core in self.core_ids():
-            coordinate = self.layout.coordinate_of(core)
-            graph.add_node(
-                core, row=coordinate.row, column=coordinate.column, crosspoint=False
-            )
-        for row_core in self.core_ids():
-            for column_core in self.core_ids():
-                graph.add_node(
-                    self.crosspoint(row_core, column_core), crosspoint=True
-                )
-        for i in self.core_ids():
-            row_nodes = [i] + [self.crosspoint(i, j) for j in self.core_ids()]
-            for upstream, downstream in zip(row_nodes, row_nodes[1:]):
-                graph.add_edge(upstream, downstream, length_cm=pitch, waveguide="row")
-            column_nodes = [self.crosspoint(row, i) for row in self.core_ids()] + [i]
-            for upstream, downstream in zip(column_nodes, column_nodes[1:]):
-                graph.add_edge(
-                    upstream, downstream, length_cm=pitch, waveguide="column"
-                )
-        return graph
 
     def describe(self) -> str:
         """One-paragraph human-readable description of the crossbar."""

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..config import OnocConfiguration, PhotonicParameters
 from ..devices.waveguide import WaveguidePath, WaveguideSegment
 from ..devices.wavelength_grid import WavelengthGrid
@@ -329,42 +327,6 @@ class MultiRingOnocArchitecture:
     ) -> Dict[Tuple[int, int], List[int]]:
         """Directed-segment usage (vertical coupler hops included)."""
         return generic_segment_usage(self, endpoints)
-
-    # -------------------------------------------------------------------- ACG
-    def characterization_graph(self) -> nx.Graph:
-        """The Architecture Characterization Graph of the stack.
-
-        Vertices are IP cores annotated with their layer and in-layer grid
-        coordinate; edges are the ring segments of every layer plus the
-        vertical coupler hops (flagged ``vertical=True``).
-        """
-        graph = nx.Graph()
-        for core in self.core_ids():
-            coordinate = self.layout.coordinate_of(core % self.layout.core_count)
-            graph.add_node(
-                core,
-                row=coordinate.row,
-                column=coordinate.column,
-                layer=core // self.layout.core_count,
-            )
-        for ring in self._ring_segments:
-            for segment in ring:
-                graph.add_edge(
-                    segment.source_oni,
-                    segment.destination_oni,
-                    length_cm=segment.length_cm,
-                    bend_count=segment.bend_count,
-                    vertical=False,
-                )
-        for layer in range(self.layer_count - 1):
-            graph.add_edge(
-                self.pillar_node(layer),
-                self.pillar_node(layer + 1),
-                length_cm=self.layer_pitch_cm,
-                bend_count=0,
-                vertical=True,
-            )
-        return graph
 
     def describe(self) -> str:
         """One-paragraph human-readable description of the stack."""

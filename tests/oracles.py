@@ -1,0 +1,160 @@
+"""Slow, readable reference implementations the fast code is checked against.
+
+Nothing under ``src/`` imports this module.  It holds:
+
+* :func:`non_dominated_sort_python` and :func:`crowding_distance_python`, the
+  textbook O(N²·M) Pareto selection kernels of Deb et al.  They define the
+  semantics the vectorized kernels of :mod:`repro.allocation.pareto` must
+  reproduce bit for bit: the front index order of Deb's book-keeping and the
+  floating-point summation order of the crowding distances.
+* :class:`ScalarNsga2Replay`, the NSGA-II run with the production operators,
+  seeding and random stream, but evaluating chromosome by chromosome through
+  :meth:`~repro.allocation.objectives.AllocationEvaluator.evaluate`, selecting
+  through the Python kernels and growing the run-wide front by sequential
+  :meth:`~repro.allocation.pareto.ParetoFront.add` calls.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
+
+from repro.allocation import Chromosome, Nsga2Optimizer, ParetoFront, nsga2
+from repro.allocation.objectives import AllocationSolution
+from repro.allocation.pareto import _INF_CLAMP, dominates
+
+__all__ = ["ScalarNsga2Replay", "crowding_distance_python", "non_dominated_sort_python"]
+
+
+def non_dominated_sort_python(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
+    """Deb's fast non-dominated sort, pair by pair (O(N²·M))."""
+    count = len(objectives)
+    if count == 0:
+        return []
+    dominated_by: List[List[int]] = [[] for _ in range(count)]
+    domination_counter = [0] * count
+    fronts: List[List[int]] = [[]]
+
+    for p in range(count):
+        for q in range(count):
+            if p == q:
+                continue
+            if dominates(objectives[p], objectives[q]):
+                dominated_by[p].append(q)
+            elif dominates(objectives[q], objectives[p]):
+                domination_counter[p] += 1
+        if domination_counter[p] == 0:
+            fronts[0].append(p)
+
+    current = 0
+    while fronts[current]:
+        next_front: List[int] = []
+        for p in fronts[current]:
+            for q in dominated_by[p]:
+                domination_counter[q] -= 1
+                if domination_counter[q] == 0:
+                    next_front.append(q)
+        current += 1
+        fronts.append(next_front)
+    fronts.pop()  # the last front is always empty
+    return fronts
+
+
+def crowding_distance_python(objectives: Sequence[Sequence[float]]) -> np.ndarray:
+    """Crowding distance of one front, one neighbour pair at a time."""
+    count = len(objectives)
+    if count == 0:
+        return np.zeros(0)
+    matrix = np.asarray(objectives, dtype=float)
+    # Invalid solutions carry infinite objectives; clamp them to a large finite
+    # value so the sort and the neighbour differences stay well defined.
+    matrix = np.where(np.isfinite(matrix), matrix, _INF_CLAMP)
+    distances = np.zeros(count)
+    for objective in range(matrix.shape[1]):
+        order = np.argsort(matrix[:, objective], kind="stable")
+        values = matrix[order, objective]
+        distances[order[0]] = float("inf")
+        distances[order[-1]] = float("inf")
+        span = values[-1] - values[0]
+        if span <= 0.0 or count < 3:
+            continue
+        for position in range(1, count - 1):
+            distances[order[position]] += (
+                values[position + 1] - values[position - 1]
+            ) / span
+    return distances
+
+
+def _python_sort(
+    objectives: Sequence[Sequence[float]], dominated: Optional[np.ndarray] = None
+) -> List[List[int]]:
+    """The oracle sort behind the production signature; ``dominated`` is ignored."""
+    return non_dominated_sort_python(objectives)
+
+
+@contextlib.contextmanager
+def python_selection_kernels() -> Iterator[None]:
+    """Route the optimiser's sort and crowding calls through the Python kernels.
+
+    Rebinds the names :mod:`repro.allocation.nsga2` calls and restores them on
+    exit, however the block ends.
+    """
+    originals = (nsga2.non_dominated_sort, nsga2.crowding_distance)
+    nsga2.non_dominated_sort = _python_sort
+    nsga2.crowding_distance = crowding_distance_python
+    try:
+        yield
+    finally:
+        nsga2.non_dominated_sort, nsga2.crowding_distance = originals
+
+
+class _Built:
+    """Scalar-built solutions, read back by position like a batch evaluation."""
+
+    def __init__(self, solutions: List[AllocationSolution]) -> None:
+        self._solutions = solutions
+
+    def solution(self, index: int) -> AllocationSolution:
+        return self._solutions[index]
+
+
+class ScalarNsga2Replay(Nsga2Optimizer):
+    """NSGA-II on the scalar evaluator and the Python selection kernels.
+
+    Operators, seeding and the random stream are inherited unchanged, so a
+    fixed seed walks the populations the batch engine walks; only the
+    objective arithmetic differs, at floating-point summation-order level.
+    """
+
+    def run(self) -> nsga2.Nsga2Result:
+        with python_selection_kernels():
+            return super().run()
+
+    def _evaluate_matrix(
+        self, matrix: np.ndarray, archive: nsga2._RunArchive, front: ParetoFront
+    ) -> np.ndarray:
+        keys = [row.tobytes() for row in matrix]
+        fresh: Dict[bytes, int] = {}
+        for index, key in enumerate(keys):
+            if key not in archive.rows and key not in fresh:
+                fresh[key] = index
+        self.metrics.counter(nsga2.MEMO_HITS_METRIC).inc(len(keys) - len(fresh))
+        self.metrics.counter(nsga2.EVALUATIONS_METRIC).inc(len(fresh))
+        if fresh:
+            shape = (self.evaluator.communication_count, self.evaluator.wavelength_count)
+            solutions = [
+                self.evaluator.evaluate(Chromosome.from_numpy(matrix[index], *shape))
+                for index in fresh.values()
+            ]
+            start = len(archive.rows)
+            newcomers = archive._append(
+                list(fresh),
+                np.array([solution.objectives.as_tuple() for solution in solutions]),
+                np.array([solution.is_valid for solution in solutions], dtype=bool),
+            )
+            archive._attach(np.arange(start, start + len(solutions)), _Built(solutions))
+            for row in newcomers.tolist():
+                front.add(row, archive.objectives[row, self._objective_columns])
+        return archive.objectives[[archive.rows[key] for key in keys]]

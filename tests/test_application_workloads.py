@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.application import (
@@ -67,9 +66,22 @@ class TestRandomGraph:
 
     def test_is_acyclic_and_connected(self):
         graph = random_task_graph(task_count=12, edge_probability=0.4, seed=5)
-        digraph = graph.to_networkx()
-        assert nx.is_directed_acyclic_graph(digraph)
-        assert nx.is_weakly_connected(digraph)
+        position = {name: index for index, name in enumerate(graph.topological_order())}
+        assert len(position) == graph.task_count
+        assert all(
+            position[edge.source] < position[edge.destination]
+            for edge in graph.communications()
+        )
+        # Weakly connected: ignoring directions, one task reaches every other.
+        reached = {graph.task_names()[0]}
+        frontier = list(reached)
+        while frontier:
+            name = frontier.pop()
+            for neighbour in graph.predecessors(name) + graph.successors(name):
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        assert reached == set(graph.task_names())
 
     def test_respects_ranges(self):
         graph = random_task_graph(

@@ -5,7 +5,8 @@ an :class:`~repro.allocation.objectives.AllocationSolution` only for the
 reported front and the final population; any other valid row is built when a
 caller first reads it, always through
 :meth:`~repro.allocation.batch.BatchEvaluation.solution`.  These tests count
-those calls and pin the archive's contents against the scalar engine.
+those calls and pin the archive's contents against the scalar reference replay
+of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ScalarNsga2Replay
 from repro.allocation import (
     AllocationEvaluator,
     BatchEvaluation,
@@ -113,8 +115,8 @@ class TestLazyMaterialisation:
 
 class TestArchiveContents:
     def test_unique_valid_solutions_match_the_scalar_engine(self, paper_evaluator):
-        batch = Nsga2Optimizer(paper_evaluator, PARAMETERS, engine="batch").run()
-        scalar = Nsga2Optimizer(paper_evaluator, PARAMETERS, engine="scalar").run()
+        batch = Nsga2Optimizer(paper_evaluator, PARAMETERS).run()
+        scalar = ScalarNsga2Replay(paper_evaluator, PARAMETERS).run()
         assert list(batch.unique_valid_solutions) == list(scalar.unique_valid_solutions)
         for genes, expected in scalar.unique_valid_solutions.items():
             solution = batch.unique_valid_solutions[genes]
@@ -166,7 +168,7 @@ class TestArchiveContents:
         )
         parameters = GeneticParameters(population_size=16, generations=3, seed=1)
         batch = Nsga2Optimizer(evaluator, parameters).run()
-        scalar = Nsga2Optimizer(evaluator, parameters, engine="scalar").run()
+        scalar = ScalarNsga2Replay(evaluator, parameters).run()
         assert any(not solution.is_valid for solution in batch.final_population)
         assert len(batch.final_population) == len(scalar.final_population)
         for solution, expected in zip(batch.final_population, scalar.final_population):

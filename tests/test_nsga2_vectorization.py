@@ -1,10 +1,10 @@
 """Determinism of the vectorized NSGA-II and its evaluation telemetry.
 
 The golden check of the vectorization refactor: with a fixed seed, the batch
-engine must walk exactly the same populations as the scalar reference engine
-(the two share one operator implementation and one random stream — only the
-objective arithmetic differs, at floating-point summation-order level), and
-repeated runs must be bit-identical.
+engine must walk exactly the same populations as the scalar reference replay
+of ``tests/oracles.py`` (the two share one operator implementation and one
+random stream — only the objective arithmetic differs, at floating-point
+summation-order level), and repeated runs must be bit-identical.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import ScalarNsga2Replay
 from repro.allocation import AllocationEvaluator, Nsga2Optimizer
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
-from repro.errors import AllocationError
+from repro.errors import ScenarioError
 from repro.scenarios import Scenario, Study, execute_scenario
 from repro.topology import RingOnocArchitecture
 
@@ -42,15 +43,15 @@ class TestGoldenDeterminism:
     def test_batch_front_matches_scalar_reference_run(self, paper_evaluator):
         """Same seed, before/after vectorization: identical fronts.
 
-        The scalar engine reproduces the historical chromosome-at-a-time
-        evaluation path; the batch engine must discover exactly the same
-        chromosome sets, with objectives equal to tight tolerance.
+        The scalar replay reproduces the historical chromosome-at-a-time
+        evaluation path with the Python selection kernels; the batch engine
+        must discover exactly the same chromosome sets, with objectives equal
+        to tight tolerance.
         """
         parameters = GeneticParameters.smoke_test(seed=42)
-        batch = Nsga2Optimizer(paper_evaluator, parameters, engine="batch").run()
-        scalar = Nsga2Optimizer(paper_evaluator, parameters, engine="scalar").run()
+        batch = Nsga2Optimizer(paper_evaluator, parameters).run()
+        scalar = ScalarNsga2Replay(paper_evaluator, parameters).run()
 
-        assert batch.engine == "batch" and scalar.engine == "scalar"
         # Identical search trajectory: same unique valid chromosomes, same
         # final population, same Pareto-front membership.
         assert batch.unique_valid_solutions.keys() == scalar.unique_valid_solutions.keys()
@@ -69,10 +70,6 @@ class TestGoldenDeterminism:
             np.array(sorted(scalar.pareto_front.objectives)),
             rtol=1e-9,
         )
-
-    def test_unknown_engine_rejected(self, paper_evaluator):
-        with pytest.raises(AllocationError):
-            Nsga2Optimizer(paper_evaluator, engine="quantum")
 
 
 class TestTelemetry:
@@ -163,20 +160,18 @@ class TestStudySurface:
         assert small.evaluations == large.evaluations == 9
         assert small.best_time_kcycles == large.best_time_kcycles
 
-    def test_scalar_engine_option_reaches_backend(self):
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_retired_engine_option_is_rejected(self, engine):
+        """``engine`` is no nsga2 option any more: naming it fails cleanly."""
         scenario = (
             Scenario.builder()
-            .named("scalar-engine")
+            .named("retired-engine")
             .grid(4, 4)
             .wavelengths(4)
             .genetic(population_size=8, generations=2)
-            .optimizer("nsga2", engine="scalar")
+            .optimizer("nsga2", engine=engine)
             .seed(5)
             .build()
         )
-        batch_summary = execute_scenario(
-            scenario.derive(optimizer_options={"engine": "batch"})
-        ).summary()
-        scalar_summary = execute_scenario(scenario).summary()
-        assert scalar_summary.valid_solution_count == batch_summary.valid_solution_count
-        assert scalar_summary.evaluations == batch_summary.evaluations
+        with pytest.raises(ScenarioError, match="unknown options for optimizer 'nsga2'.*engine"):
+            execute_scenario(scenario)

@@ -1,0 +1,105 @@
+"""Throughput floors of the fast paths against their slow oracles.
+
+Two ratios gate the vectorized engine, each measured back to back on one
+fixed input so host speed cancels out:
+
+* one sort+crowding selection pass of the NumPy kernels against the Python
+  oracles of ``tests/oracles.py``: at least 10x on a merged population-256
+  pool (512 rows);
+* whole-population evaluation through the batch engine against
+  :meth:`AllocationEvaluator.evaluate` row by row: at least 5x on a
+  population of 64 paper chromosomes.
+
+These ratios prove the fast paths stay fast relative to the oracles; they are
+not a performance trajectory (``perfbench/`` measures that).
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable
+
+import numpy as np
+
+from oracles import crowding_distance_python, non_dominated_sort_python
+from repro.allocation import AllocationEvaluator, crowding_distance, non_dominated_sort
+from repro.application import paper_mapping, paper_task_graph
+from repro.topology import build_topology
+
+#: Minimum vectorized/Python sort+crowding speedup at population 256.
+MIN_SELECTION_SPEEDUP = 10.0
+
+#: Minimum batch/scalar evaluation speedup at population 64.
+MIN_EVALUATION_SPEEDUP = 5.0
+
+
+def ops_per_second(operation: Callable[[], object], min_seconds: float) -> float:
+    """Calls per second of ``operation`` over at least ``min_seconds`` (after a warm-up)."""
+    operation()
+    started = time.perf_counter()
+    count = 0
+    while time.perf_counter() - started < min_seconds:
+        operation()
+        count += 1
+    return count / (time.perf_counter() - started)
+
+
+def selection_pool(population: int, objectives: int = 3) -> np.ndarray:
+    """A merged 2N parent+offspring pool shaped like real GA objective data.
+
+    Roughly a quarter of GA candidates are invalid (all-``inf`` objective
+    rows) and memoisation produces duplicate vectors; both shapes stress the
+    kernels' tie handling.
+    """
+    rng = np.random.default_rng(2017)
+    pool = 2 * population
+    matrix = rng.uniform(1.0, 100.0, size=(pool, objectives))
+    invalid = rng.random(pool) < 0.25
+    matrix[invalid] = np.inf
+    duplicates = rng.integers(0, pool, size=pool // 8)
+    matrix[duplicates] = matrix[rng.integers(0, pool, size=pool // 8)]
+    return matrix
+
+
+def test_selection_kernels_beat_the_python_oracles_tenfold():
+    matrix = selection_pool(256)
+    rows = [tuple(row) for row in matrix]
+
+    def python_selection():
+        for front in non_dominated_sort_python(rows):
+            crowding_distance_python([rows[index] for index in front])
+
+    def vectorized_selection():
+        for front in non_dominated_sort(matrix):
+            crowding_distance(matrix[np.asarray(front, dtype=int)])
+
+    python_rate = ops_per_second(python_selection, 0.3)
+    vectorized_rate = ops_per_second(vectorized_selection, 0.3)
+    speedup = vectorized_rate / python_rate
+    assert speedup >= MIN_SELECTION_SPEEDUP, (python_rate, vectorized_rate)
+
+
+def test_batch_evaluation_beats_the_scalar_evaluator_fivefold():
+    architecture = build_topology("ring", 4, 4, wavelength_count=8)
+    evaluator = AllocationEvaluator(
+        architecture, paper_task_graph(), paper_mapping(architecture)
+    )
+    batch = evaluator.batch()
+    rng = np.random.default_rng(2017)
+    tensor = np.stack(
+        [
+            batch.random_population(1, rng, reserve_probability=density)[0]
+            for density in np.linspace(0.1, 0.6, 64)
+        ]
+    )
+    evaluation = batch.evaluate_population(tensor)
+    chromosomes = [evaluation.chromosome(index) for index in range(len(tensor))]
+
+    def scalar_pass():
+        for chromosome in chromosomes:
+            evaluator.evaluate(chromosome)
+
+    scalar_rate = ops_per_second(scalar_pass, 0.5)
+    batch_rate = ops_per_second(lambda: batch.evaluate_population(tensor), 0.5)
+    speedup = batch_rate / scalar_rate
+    assert speedup >= MIN_EVALUATION_SPEEDUP, (scalar_rate, batch_rate)

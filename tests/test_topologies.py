@@ -231,15 +231,6 @@ class TestMultiRingTopology:
         assert stack.pillar_node(1) == 6
         assert 2 in stack.path(0, 5).onis
 
-    def test_characterization_graph_flags_vertical_edges(self, stack):
-        graph = stack.characterization_graph()
-        assert graph.number_of_nodes() == 12
-        assert graph.nodes[9]["layer"] == 2
-        vertical = [
-            edge for edge in graph.edges(data=True) if edge[2].get("vertical")
-        ]
-        assert len(vertical) == 2  # pillar 0-4 and 4-8
-
     def test_single_layer_stack_degenerates_to_a_ring(self):
         stack = MultiRingOnocArchitecture.grid(2, 2, wavelength_count=4, layers=1)
         ring = RingOnocArchitecture.grid(2, 2, wavelength_count=4)
@@ -317,13 +308,6 @@ class TestCrossbarTopology:
         assert crossbar.crosstalk_path_loss_db(0, 3, 2, parameters) is None
         # A transmitter never leaks into its own core's receive waveguide.
         assert crossbar.crosstalk_path_loss_db(0, 3, 0, parameters) is None
-
-    def test_characterization_graph_includes_crosspoints(self, crossbar):
-        graph = crossbar.characterization_graph()
-        cores = [n for n, data in graph.nodes(data=True) if not data["crosspoint"]]
-        crosspoints = [n for n, data in graph.nodes(data=True) if data["crosspoint"]]
-        assert len(cores) == 4
-        assert len(crosspoints) == 16
 
     def test_worst_case_link_loss_orders_the_topologies(self):
         """On equal grids the crossbar loses more than the ring (crossings),

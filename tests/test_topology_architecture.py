@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.config import OnocConfiguration
@@ -75,23 +74,27 @@ class TestPaths:
 
 
 class TestCharacterizationGraph:
+    """The ACG of Definition 2: the cores, joined by the ring's segments."""
+
     def test_acg_is_a_single_cycle(self, architecture):
-        graph = architecture.characterization_graph()
-        assert graph.number_of_nodes() == 16
-        assert graph.number_of_edges() == 16
-        assert nx.is_connected(graph)
-        assert all(degree == 2 for _, degree in graph.degree())
+        segments = architecture.ring.segments
+        assert len(segments) == 16
+        successor = {segment.source_oni: segment.destination_oni for segment in segments}
+        assert sorted(successor) == sorted(successor.values()) == list(range(16))
+        visited = [0]
+        while successor[visited[-1]] != 0:
+            visited.append(successor[visited[-1]])
+        assert sorted(visited) == list(range(16))
 
     def test_acg_edges_carry_geometry(self, architecture):
-        graph = architecture.characterization_graph()
-        for _, _, data in graph.edges(data=True):
-            assert data["length_cm"] > 0.0
-            assert data["bend_count"] >= 0
+        for segment in architecture.ring.segments:
+            assert segment.length_cm > 0.0
+            assert segment.bend_count >= 0
 
     def test_acg_nodes_carry_coordinates(self, architecture):
-        graph = architecture.characterization_graph()
-        assert graph.nodes[0]["row"] == 0
-        assert graph.nodes[0]["column"] == 0
+        first = architecture.ring.segments[0].source_oni
+        coordinate = architecture.layout.coordinate_of(first)
+        assert (first, coordinate.row, coordinate.column) == (0, 0, 0)
 
     def test_segment_usage_delegates_to_ring(self, architecture):
         usage = architecture.segment_usage([(0, 3), (1, 4)])

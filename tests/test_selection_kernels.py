@@ -75,6 +75,15 @@ class TestSortEquivalence:
             assert non_dominated_sort(matrix) == oracle
             assert non_dominated_sort([tuple(row) for row in matrix]) == oracle
 
+    def test_dispatch_engines_agree(self):
+        # The array kernel serves both input forms; each must match the oracle.
+        rng = np.random.default_rng(7)
+        matrix = random_objective_matrix(rng, 40, 3)
+        rows = [tuple(row) for row in matrix]
+        oracle = non_dominated_sort_python(rows)
+        assert non_dominated_sort(matrix) == oracle
+        assert non_dominated_sort(rows) == oracle
+
     def test_empty_and_single(self):
         assert non_dominated_sort(np.zeros((0, 3))) == []
         assert non_dominated_sort([]) == []

@@ -11,11 +11,15 @@ single points these heuristics produce.
 Every heuristic takes the number of wavelengths each communication should
 receive (``target_counts``) and decides *which* channels to reserve, honouring
 the validity rules through the conflict pairs computed by the evaluator.
+
+The ranked policies order channels by one rule, :func:`preference`, which the
+online allocators of :mod:`repro.traffic.allocators` share; the optimizer
+backends call :func:`policy_allocation` for any name in :data:`POLICIES`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,12 +28,36 @@ from .batch import BatchEvaluation
 from .objectives import AllocationEvaluator, AllocationSolution
 
 __all__ = [
+    "POLICIES",
+    "preference",
+    "policy_allocation",
     "first_fit_allocation",
     "least_used_allocation",
     "most_used_allocation",
     "random_allocation",
     "uniform_allocation",
 ]
+
+#: The classic wavelength-assignment policies, by their registry names.
+POLICIES = ("first_fit", "least_used", "most_used", "random")
+
+#: Usage weight of each ranked policy in :func:`preference`.
+_USAGE_WEIGHTS = {"first_fit": 0, "least_used": 1, "most_used": -1}
+
+
+def preference(policy: str, usage: Sequence[int]) -> Callable[[int], Tuple[int, int]]:
+    """The sort key ranking channels for ``policy``, most preferred first.
+
+    ``usage[c]`` counts the holders of channel ``c``; its key is
+    ``(weight * usage[c], c)`` with weight 0 (First-Fit), +1 (Least-Used) or
+    -1 (Most-Used), so ties go to the lowest index.  ``random`` ranks nothing.
+    """
+    if policy not in _USAGE_WEIGHTS:
+        raise AllocationError(
+            f"policy {policy!r} ranks no channels; ranked: {', '.join(_USAGE_WEIGHTS)}"
+        )
+    weight = _USAGE_WEIGHTS[policy]
+    return lambda channel: (weight * usage[channel], channel)
 
 
 def _normalise_counts(
@@ -60,39 +88,35 @@ def _forbidden_channels(
     """Channels already taken by communications that conflict with this one."""
     forbidden: Set[int] = set()
     for first, second in conflicts:
-        other = None
-        if first == communication_index:
-            other = second
-        elif second == communication_index:
-            other = first
-        if other is not None and other in assigned:
+        other = second if first == communication_index else first
+        if communication_index in (first, second) and other in assigned:
             forbidden.update(assigned[other])
     return forbidden
 
 
 def _greedy_assignment(
     evaluator: AllocationEvaluator,
-    counts: Sequence[int],
-    channel_priority,
+    target_counts: Sequence[int] | int,
+    policy: str,
 ) -> AllocationSolution:
-    """Assign channels communication by communication following a priority rule.
+    """Assign channels communication by communication in ``policy``'s order.
 
-    ``channel_priority(communication_index, usage)`` returns the channel indices
-    ordered from most to least preferred; ``usage`` maps channels to how many
-    communications already reserved them.
+    Each communication takes the conflict-free channels :func:`preference`
+    ranks first, given how many communications already reserved each channel.
 
     The assignment is evaluated through the evaluator's batch engine so that
     heuristic baselines carry exactly the same objective values as identical
     chromosomes discovered by the batch-powered searches.
     """
+    counts = _normalise_counts(evaluator, target_counts)
     conflicts = evaluator.conflict_pairs(counts)
-    usage: Dict[int, int] = {channel: 0 for channel in range(evaluator.wavelength_count)}
+    usage = [0] * evaluator.wavelength_count
+    key = preference(policy, usage)
     assigned: Dict[int, Tuple[int, ...]] = {}
     for index in range(evaluator.communication_count):
         forbidden = _forbidden_channels(index, assigned, conflicts)
-        preferences = [
-            channel for channel in channel_priority(index, usage) if channel not in forbidden
-        ]
+        ranked = sorted(range(evaluator.wavelength_count), key=key)
+        preferences = [channel for channel in ranked if channel not in forbidden]
         if len(preferences) < counts[index]:
             raise AllocationError(
                 f"communication c{index} cannot reserve {counts[index]} wavelengths: only "
@@ -106,16 +130,23 @@ def _greedy_assignment(
     return evaluator.batch().evaluate_allocations([allocation]).solution(0)
 
 
+def policy_allocation(
+    evaluator: AllocationEvaluator,
+    policy: str,
+    target_counts: Sequence[int] | int = 1,
+    seed: Optional[int] = None,
+) -> AllocationSolution:
+    """The allocation the policy named ``policy`` gives; only ``random`` reads ``seed``."""
+    if policy == "random":
+        return random_allocation(evaluator, target_counts, seed=seed)
+    return _greedy_assignment(evaluator, target_counts, policy)
+
+
 def first_fit_allocation(
     evaluator: AllocationEvaluator, target_counts: Sequence[int] | int = 1
 ) -> AllocationSolution:
     """First-Fit: always reserve the lowest-indexed conflict-free channels."""
-    counts = _normalise_counts(evaluator, target_counts)
-    return _greedy_assignment(
-        evaluator,
-        counts,
-        lambda index, usage: list(range(evaluator.wavelength_count)),
-    )
+    return _greedy_assignment(evaluator, target_counts, "first_fit")
 
 
 def most_used_allocation(
@@ -126,12 +157,7 @@ def most_used_allocation(
     Packing traffic onto few wavelengths leaves whole channels free for future
     connections — the classical blocking-probability argument.
     """
-    counts = _normalise_counts(evaluator, target_counts)
-
-    def priority(index: int, usage: Dict[int, int]) -> List[int]:
-        return sorted(usage, key=lambda channel: (-usage[channel], channel))
-
-    return _greedy_assignment(evaluator, counts, priority)
+    return _greedy_assignment(evaluator, target_counts, "most_used")
 
 
 def least_used_allocation(
@@ -142,12 +168,7 @@ def least_used_allocation(
     Spreading traffic balances the load across the comb, which also spreads the
     crosstalk aggressors apart.
     """
-    counts = _normalise_counts(evaluator, target_counts)
-
-    def priority(index: int, usage: Dict[int, int]) -> List[int]:
-        return sorted(usage, key=lambda channel: (usage[channel], channel))
-
-    return _greedy_assignment(evaluator, counts, priority)
+    return _greedy_assignment(evaluator, target_counts, "least_used")
 
 
 def random_allocation(

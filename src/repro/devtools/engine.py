@@ -200,38 +200,56 @@ class Project:
     def backend_classes(self) -> Dict[str, str]:
         """Registered backend classes: class name -> defining module.
 
-        A class counts as a backend when it is decorated with a registry's
-        ``register`` call (``@OPTIMIZERS.register("nsga2")``) or when it is a
-        topology architecture (defined under ``repro.topology`` with the
-        ``OnocArchitecture`` naming convention — topologies register factory
-        *functions*, so the decorator alone would miss them).
+        A class counts as a backend when a registry's ``register`` call
+        decorates it (``@OPTIMIZERS.register("nsga2")``), when its module
+        registers it by calling one (``OPTIMIZERS.register(name)(Backend)``,
+        or with ``functools.partial(Backend, ...)`` when one class serves
+        several names), or when it is a topology architecture (defined under
+        ``repro.topology`` with the ``OnocArchitecture`` naming convention —
+        topologies register factory *functions*, which are not backends).
         """
         if self._backend_classes is None:
             classes: Dict[str, str] = {}
             for file in self.files:
                 if file.tree is None:
                     continue
+                registered = {_registered_entry(file, node) for node in ast.walk(file.tree)}
                 for node in ast.walk(file.tree):
-                    if not isinstance(node, ast.ClassDef):
-                        continue
-                    if _is_registered(node) or (
-                        file.module.startswith("repro.topology")
-                        and node.name.endswith("OnocArchitecture")
+                    if isinstance(node, ast.ClassDef) and (
+                        node.name in registered
+                        or any(_is_register_call(item) for item in node.decorator_list)
+                        or (
+                            file.module.startswith("repro.topology")
+                            and node.name.endswith("OnocArchitecture")
+                        )
                     ):
                         classes.setdefault(node.name, file.module)
             self._backend_classes = classes
         return self._backend_classes
 
 
-def _is_registered(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        if (
-            isinstance(decorator, ast.Call)
-            and isinstance(decorator.func, ast.Attribute)
-            and decorator.func.attr == "register"
-        ):
-            return True
-    return False
+def _is_register_call(node: ast.AST) -> bool:
+    """True for a registry's ``<registry>.register(...)`` call."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "register"
+    )
+
+
+def _registered_entry(file: SourceFile, node: ast.AST) -> Optional[str]:
+    """``entry`` of a ``<registry>.register(...)(entry)`` call, unwrapping
+    ``functools.partial(entry, ...)``; ``None`` for any other node."""
+    if not (isinstance(node, ast.Call) and _is_register_call(node.func) and node.args):
+        return None
+    entry = node.args[0]
+    if (
+        isinstance(entry, ast.Call)
+        and file.resolve_call(entry.func) == "functools.partial"
+        and entry.args
+    ):
+        entry = entry.args[0]
+    return entry.id if isinstance(entry, ast.Name) else None
 
 
 class Rule:

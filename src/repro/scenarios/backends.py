@@ -9,10 +9,10 @@ under a stable name in :data:`OPTIMIZERS`:
     The paper's NSGA-II genetic exploration (Section III-D).
 ``exhaustive``
     Exact enumeration of the chromosome space (tiny instances only).
-``first_fit`` / ``most_used`` / ``least_used`` / ``random``
-    The classical WDM heuristics, optionally swept over several
-    wavelengths-per-communication settings so they produce a small front
-    instead of a single point.
+``first_fit`` / ``least_used`` / ``most_used`` / ``random``
+    The classical WDM heuristics, one :class:`HeuristicBackend` per policy
+    name, optionally swept over several wavelengths-per-communication
+    settings so they produce a small front instead of a single point.
 
 The companion registries :data:`WORKLOADS` and :data:`MAPPING_STRATEGIES`
 resolve the workload and mapping names a :class:`~repro.scenarios.scenario.Scenario`
@@ -22,9 +22,10 @@ decorator.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..allocation import heuristics
 from ..allocation.allocator import ExplorationResult
@@ -243,8 +244,13 @@ class ExhaustiveBackend:
         return result
 
 
-class _HeuristicBackend:
-    """Shared driver for the classical single-shot WDM heuristics.
+class HeuristicBackend:
+    """One classical single-shot WDM policy, named by its registry key.
+
+    The backend is registered once per name in
+    :data:`~repro.allocation.heuristics.POLICIES` and hands the assignment to
+    :func:`~repro.allocation.heuristics.policy_allocation`; ``random`` draws
+    from the run seed.
 
     Options (all optional):
 
@@ -258,15 +264,8 @@ class _HeuristicBackend:
         wavelengths per communication quickly becomes impossible).
     """
 
-    name = "heuristic"
-
-    @staticmethod
-    def _assign(
-        evaluator: AllocationEvaluator,
-        target_counts: Sequence[int] | int,
-        seed: int,
-    ) -> AllocationSolution:
-        raise NotImplementedError
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def run(
         self, evaluator: AllocationEvaluator, parameters: OptimizerParameters
@@ -278,19 +277,20 @@ class _HeuristicBackend:
             raise ScenarioError(
                 f"unknown options for optimizer {self.name!r}: {sorted(options)}"
             )
+        targets = [target_counts] if sweep is None else [int(count) for count in sweep]
         solutions: List[AllocationSolution] = []
-        if sweep is not None:
-            for count in sweep:
-                try:
-                    solutions.append(self._assign(evaluator, int(count), parameters.seed))
-                except AllocationError:
-                    continue
-            if not solutions:
-                raise ScenarioError(
-                    f"optimizer {self.name!r}: no entry of sweep {list(sweep)!r} is feasible"
+        for target in targets:
+            try:
+                solutions.append(
+                    heuristics.policy_allocation(evaluator, self.name, target, parameters.seed)
                 )
-        else:
-            solutions.append(self._assign(evaluator, target_counts, parameters.seed))
+            except AllocationError:
+                if sweep is None:
+                    raise
+        if not solutions:
+            raise ScenarioError(
+                f"optimizer {self.name!r}: no entry of sweep {list(sweep)!r} is feasible"
+            )
         # No evaluation count is reported: the heuristics do not track how many
         # candidates they screened (e.g. `random` may batch-evaluate hundreds),
         # and a misleading number would corrupt throughput comparisons.
@@ -302,64 +302,8 @@ class _HeuristicBackend:
         )
 
 
-@OPTIMIZERS.register("first_fit")
-class FirstFitBackend(_HeuristicBackend):
-    """First-Fit wavelength assignment (lowest-indexed conflict-free channels)."""
-
-    name = "first_fit"
-
-    @staticmethod
-    def _assign(
-        evaluator: AllocationEvaluator,
-        target_counts: Sequence[int] | int,
-        seed: int,
-    ) -> AllocationSolution:
-        return heuristics.first_fit_allocation(evaluator, target_counts)
-
-
-@OPTIMIZERS.register("most_used")
-class MostUsedBackend(_HeuristicBackend):
-    """Most-Used wavelength assignment (pack traffic onto busy channels)."""
-
-    name = "most_used"
-
-    @staticmethod
-    def _assign(
-        evaluator: AllocationEvaluator,
-        target_counts: Sequence[int] | int,
-        seed: int,
-    ) -> AllocationSolution:
-        return heuristics.most_used_allocation(evaluator, target_counts)
-
-
-@OPTIMIZERS.register("least_used")
-class LeastUsedBackend(_HeuristicBackend):
-    """Least-Used wavelength assignment (spread traffic across the comb)."""
-
-    name = "least_used"
-
-    @staticmethod
-    def _assign(
-        evaluator: AllocationEvaluator,
-        target_counts: Sequence[int] | int,
-        seed: int,
-    ) -> AllocationSolution:
-        return heuristics.least_used_allocation(evaluator, target_counts)
-
-
-@OPTIMIZERS.register("random")
-class RandomBackend(_HeuristicBackend):
-    """Random wavelength assignment (uniform draws until a valid one appears)."""
-
-    name = "random"
-
-    @staticmethod
-    def _assign(
-        evaluator: AllocationEvaluator,
-        target_counts: Sequence[int] | int,
-        seed: int,
-    ) -> AllocationSolution:
-        return heuristics.random_allocation(evaluator, target_counts, seed=seed)
+for _policy in heuristics.POLICIES:
+    OPTIMIZERS.register(_policy)(functools.partial(HeuristicBackend, _policy))
 
 
 @OPTIMIZERS.register("dynamic_rwa")

@@ -29,7 +29,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..errors import JobError, ReproError, ScenarioError
+from ..errors import AllocationError, JobError, ReproError, ScenarioError, TrafficError
 from ..telemetry import MetricsRegistry, get_registry, merge_snapshots, set_registry, span
 from .backend import StoreBackend
 from .jobs import DEFAULT_LEASE_SECONDS, Job, backoff_seconds
@@ -186,9 +186,10 @@ class Worker:
             beater.join()
             self._release_quietly(job)
             raise
-        except ScenarioError as error:
-            # The document itself doesn't resolve (unknown registry name,
-            # invalid field...): retrying cannot help.
+        except (ScenarioError, AllocationError, TrafficError) as error:
+            # The document itself cannot run (unknown registry name, invalid
+            # field, infeasible allocation target, bad traffic options...):
+            # retrying cannot help.
             return self._record_failure(job, error, retryable=False)
         except (ReproError, Exception) as error:  # noqa: BLE001 - the queue is the error boundary
             return self._record_failure(job, error, retryable=True)

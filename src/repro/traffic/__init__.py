@@ -9,9 +9,10 @@ of the classic RWA literature.
 * :mod:`~repro.traffic.models`     — ``TrafficModel`` protocol +
   :data:`TRAFFIC_MODELS` registry (seeded ``poisson``, deterministic
   ``trace``) emitting fingerprint-stable ``ConnectionRequest`` streams.
-* :mod:`~repro.traffic.allocators` — ``OnlineAllocator`` protocol +
-  :data:`ONLINE_ALLOCATORS` registry (``first_fit``, ``least_used``,
-  ``most_used``, ``random``).
+* :mod:`~repro.traffic.allocators` — one ``OnlineAllocator`` class run under
+  each name of the :data:`ONLINE_ALLOCATORS` registry (``first_fit``,
+  ``least_used``, ``most_used``, ``random``); the ranked policies share
+  :func:`~repro.allocation.heuristics.preference` with the static baselines.
 * :mod:`~repro.traffic.simulator`  — :class:`DynamicTrafficSimulator` on the
   shared discrete-event engine, producing a :class:`BlockingReport` with a
   Wilson interval, warm-up exclusion and link utilisation; plus the
@@ -20,15 +21,7 @@ of the classic RWA literature.
   strategies, wavelength counts and topologies.
 """
 
-from .allocators import (
-    ONLINE_ALLOCATORS,
-    FirstFitAllocator,
-    LeastUsedAllocator,
-    MostUsedAllocator,
-    OnlineAllocator,
-    RandomAllocator,
-    build_online_allocator,
-)
+from .allocators import ONLINE_ALLOCATORS, OnlineAllocator, build_online_allocator
 from .models import (
     DEFAULT_TRAFFIC_SEED,
     TRAFFIC_MODELS,
@@ -51,10 +44,6 @@ __all__ = [
     "DEFAULT_TRAFFIC_SEED",
     "OnlineAllocator",
     "ONLINE_ALLOCATORS",
-    "FirstFitAllocator",
-    "LeastUsedAllocator",
-    "MostUsedAllocator",
-    "RandomAllocator",
     "build_online_allocator",
     "BlockingReport",
     "DynamicTrafficSimulator",

@@ -1,4 +1,4 @@
-"""Online wavelength-assignment strategies for dynamic traffic.
+"""Online wavelength assignment for dynamic traffic.
 
 An online allocator sees one connection request at a time, together with the
 set of wavelengths that are free on *every* segment of the request's path
@@ -6,8 +6,11 @@ set of wavelengths that are free on *every* segment of the request's path
 per wavelength.  It picks one wavelength; a request whose free set is empty is
 blocked before the allocator is consulted.
 
-The four classic heuristics from the RWA literature are registered in
-:data:`ONLINE_ALLOCATORS`:
+One :class:`OnlineAllocator` class runs the four classic policies of
+:data:`~repro.allocation.heuristics.POLICIES`, each registered by name in
+:data:`ONLINE_ALLOCATORS`.  The ranked policies take the free wavelength that
+:func:`~repro.allocation.heuristics.preference` ranks first, the rule the
+static baselines assign channels by:
 
 =============  ==============================================================
 ``first_fit``  Lowest-indexed free wavelength (packs the comb from the bottom).
@@ -19,17 +22,19 @@ The four classic heuristics from the RWA literature are registered in
 =============  ==============================================================
 
 Allocators are constructed through :func:`build_online_allocator` — lint rule
-R004 bans bare-name construction outside this module, and the builder folds
-the scenario seed into seedable strategies (``random``) exactly like the
-optimizer backends.
+R004 bans direct construction outside this module, and the builder folds
+the scenario seed into the ``random`` policy exactly like the optimizer
+backends.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Protocol, Sequence, runtime_checkable
+import functools
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..allocation.heuristics import POLICIES, preference
 from ..errors import TrafficError
 from ..registry import Registry
 from .models import DEFAULT_TRAFFIC_SEED, ConnectionRequest
@@ -37,19 +42,31 @@ from .models import DEFAULT_TRAFFIC_SEED, ConnectionRequest
 __all__ = [
     "OnlineAllocator",
     "ONLINE_ALLOCATORS",
-    "FirstFitAllocator",
-    "LeastUsedAllocator",
-    "MostUsedAllocator",
-    "RandomAllocator",
     "build_online_allocator",
 ]
 
 
-@runtime_checkable
-class OnlineAllocator(Protocol):
-    """Pick a wavelength for one request given current occupancy."""
+class OnlineAllocator:
+    """One classic policy picking a wavelength for each request.
 
-    name: str
+    ``seed`` seeds the ``random`` policy's stream (default
+    :data:`~repro.traffic.models.DEFAULT_TRAFFIC_SEED`); the ranked policies
+    are deterministic and take none.
+    """
+
+    def __init__(self, name: str, seed: Optional[int] = None) -> None:
+        if name not in POLICIES:
+            raise TrafficError(
+                f"unknown wavelength policy {name!r}; policies: {', '.join(POLICIES)}"
+            )
+        if seed is not None and name != "random":
+            raise TypeError(f"policy {name!r} takes no seed")
+        self.name = name
+        self._rng = (
+            np.random.default_rng(int(DEFAULT_TRAFFIC_SEED if seed is None else seed))
+            if name == "random"
+            else None
+        )
 
     def choose(
         self,
@@ -64,74 +81,15 @@ class OnlineAllocator(Protocol):
         simulator); ``usage[w]`` counts connections currently holding
         wavelength ``w`` anywhere in the network.
         """
-        ...
+        if self._rng is not None:
+            return free[int(self._rng.integers(0, len(free)))]
+        return min(free, key=preference(self.name, usage))
 
 
 ONLINE_ALLOCATORS: Registry[Any] = Registry("online allocator")
 
-
-@ONLINE_ALLOCATORS.register("first_fit")
-class FirstFitAllocator:
-    """Always the lowest-indexed free wavelength."""
-
-    name = "first_fit"
-
-    def choose(
-        self,
-        request: ConnectionRequest,
-        free: Sequence[int],
-        usage: Sequence[int],
-    ) -> int:
-        return min(free)
-
-
-@ONLINE_ALLOCATORS.register("least_used")
-class LeastUsedAllocator:
-    """The free wavelength carrying the fewest connections network-wide."""
-
-    name = "least_used"
-
-    def choose(
-        self,
-        request: ConnectionRequest,
-        free: Sequence[int],
-        usage: Sequence[int],
-    ) -> int:
-        return min(free, key=lambda wavelength: (usage[wavelength], wavelength))
-
-
-@ONLINE_ALLOCATORS.register("most_used")
-class MostUsedAllocator:
-    """The free wavelength carrying the most connections network-wide."""
-
-    name = "most_used"
-
-    def choose(
-        self,
-        request: ConnectionRequest,
-        free: Sequence[int],
-        usage: Sequence[int],
-    ) -> int:
-        return min(free, key=lambda wavelength: (-usage[wavelength], wavelength))
-
-
-@ONLINE_ALLOCATORS.register("random")
-class RandomAllocator:
-    """Uniform seeded choice among the free wavelengths."""
-
-    name = "random"
-
-    def __init__(self, seed: int = DEFAULT_TRAFFIC_SEED) -> None:
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-
-    def choose(
-        self,
-        request: ConnectionRequest,
-        free: Sequence[int],
-        usage: Sequence[int],
-    ) -> int:
-        return free[int(self._rng.integers(0, len(free)))]
+for _policy in POLICIES:
+    ONLINE_ALLOCATORS.register(_policy)(functools.partial(OnlineAllocator, _policy))
 
 
 def build_online_allocator(
@@ -141,17 +99,18 @@ def build_online_allocator(
 ) -> OnlineAllocator:
     """Instantiate a registered allocator by name, folding in the seed.
 
-    ``seed`` (derived from ``Scenario.effective_seed``) reaches strategies
-    that accept one unless the options already pin an explicit ``seed``; the
-    deterministic strategies take no seed and ignore it.
+    ``seed`` (derived from ``Scenario.effective_seed``) reaches the
+    ``random`` policy unless the options already pin an explicit ``seed``;
+    the ranked policies take no options.  Bad options, a seed that is not an
+    integer among them, raise :class:`~repro.errors.TrafficError`.
     """
     factory = ONLINE_ALLOCATORS.get(name)
     merged: Dict[str, Any] = dict(options or {})
-    if seed is not None and "seed" not in merged and factory is RandomAllocator:
+    if seed is not None and "seed" not in merged and factory is ONLINE_ALLOCATORS.get("random"):
         merged["seed"] = int(seed)
     try:
         allocator = factory(**merged)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise TrafficError(
             f"invalid options for online allocator {name!r}: {exc}"
         ) from None

@@ -17,8 +17,8 @@ pins this with the shared :data:`~repro.simulation.events.PRIORITY_RELEASE` /
 
 Per-segment occupancy is tracked as wavelength bitmasks, so the free-set
 computation for a path is a handful of integer ORs regardless of the
-wavelength count — this is what the ``bench_dynamic_traffic`` events/sec
-benchmark measures.
+wavelength count — the events/s floor in ``tests/test_speed_gates.py``
+holds it there.
 """
 
 from __future__ import annotations
@@ -173,7 +173,10 @@ class BlockingReport:
 
 
 class DynamicTrafficSimulator:
-    """Replay a traffic model against a topology under an online allocator."""
+    """Replay a traffic model against a topology under an online allocator.
+
+    ``allocator`` may be any object with a ``name`` and a ``choose`` method.
+    """
 
     def __init__(
         self,

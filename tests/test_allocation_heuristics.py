@@ -11,6 +11,7 @@ from repro.allocation import (
     random_allocation,
     uniform_allocation,
 )
+from repro.allocation.heuristics import POLICIES, policy_allocation, preference
 from repro.errors import AllocationError
 
 
@@ -94,3 +95,31 @@ class TestRandomAndUniform:
         double = uniform_allocation(evaluator, 2)
         assert single.objectives.bit_energy_fj < double.objectives.bit_energy_fj
         assert single.objectives.execution_time_kcycles > double.objectives.execution_time_kcycles
+
+
+class TestPolicyRule:
+    def test_preference_ranks_by_weighted_usage_then_index(self):
+        usage = [2, 0, 2, 1]
+
+        def order(policy):
+            return sorted(range(len(usage)), key=preference(policy, usage))
+
+        assert order("first_fit") == [0, 1, 2, 3]
+        assert order("least_used") == [1, 3, 0, 2]
+        assert order("most_used") == [0, 2, 3, 1]
+
+    def test_random_ranks_nothing(self):
+        with pytest.raises(AllocationError, match="ranks no channels"):
+            preference("random", [0, 0])
+
+    def test_policy_allocation_dispatches_every_policy(self, evaluator):
+        named = {
+            "first_fit": first_fit_allocation(evaluator, 2),
+            "least_used": least_used_allocation(evaluator, 2),
+            "most_used": most_used_allocation(evaluator, 2),
+            "random": random_allocation(evaluator, 2, seed=5),
+        }
+        assert set(named) == set(POLICIES)
+        for policy, expected in named.items():
+            chosen = policy_allocation(evaluator, policy, 2, seed=5)
+            assert chosen.chromosome == expected.chromosome

@@ -72,6 +72,62 @@ def test_bad_fixtures_flag_nothing_else(tmp_path):
         assert not extra, f"{rule.id} bad fixture also trips {sorted(extra)}"
 
 
+def test_registry_discipline_sees_call_form_registrations(tmp_path):
+    """R004: a class its module registers by calling ``register`` is a backend.
+
+    The call may hand over the class itself or ``functools.partial`` of it
+    (one class serving several names); a function registered the same way is
+    not a backend, so calling it elsewhere stays clean.
+    """
+    backends = (
+        "import functools\n"
+        "from functools import partial\n"
+        "\n"
+        "class Registry:\n"
+        "    def register(self, name):\n"
+        "        return lambda entry: entry\n"
+        "\n"
+        "OPTIMIZERS = Registry()\n"
+        "WORKLOADS = Registry()\n"
+        "\n"
+        "class DirectBackend:\n"
+        "    pass\n"
+        "\n"
+        "class PolicyBackend:\n"
+        "    def __init__(self, name):\n"
+        "        self.name = name\n"
+        "\n"
+        "class AliasedBackend(PolicyBackend):\n"
+        "    pass\n"
+        "\n"
+        "def paper_graph():\n"
+        "    return None\n"
+        "\n"
+        "OPTIMIZERS.register('direct')(DirectBackend)\n"
+        "for policy in ('first', 'second'):\n"
+        "    OPTIMIZERS.register(policy)(functools.partial(PolicyBackend, policy))\n"
+        "OPTIMIZERS.register('aliased')(partial(AliasedBackend, 'aliased'))\n"
+        "WORKLOADS.register('paper')(paper_graph)\n"
+    )
+    consumer = (
+        "from repro.scenarios.backends import (\n"
+        "    AliasedBackend, DirectBackend, PolicyBackend, paper_graph,\n"
+        ")\n"
+        "\n"
+        "def run():\n"
+        "    paper_graph()\n"
+        "    return DirectBackend(), PolicyBackend('first'), AliasedBackend('aliased')\n"
+    )
+    violations = _lint_fixture(
+        tmp_path,
+        {"src/repro/scenarios/backends.py": backends, "src/repro/consumer.py": consumer},
+        select=["R004"],
+    )
+    assert {violation.path for violation in violations} == {"src/repro/consumer.py"}
+    flagged = sorted(violation.message.split("`")[1] for violation in violations)
+    assert flagged == ["AliasedBackend", "DirectBackend", "PolicyBackend"]
+
+
 # --------------------------------------------------------------------------- #
 # Allowlist markers
 # --------------------------------------------------------------------------- #

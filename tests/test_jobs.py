@@ -22,7 +22,7 @@ import repro
 
 from repro.config import GeneticParameters
 from repro.errors import JobError, ScenarioError, StoreError
-from repro.scenarios import Scenario, Study, execute_scenario
+from repro.scenarios import Scenario, Study, TrafficSettings, execute_scenario
 from repro.store import (
     JOB_STATES,
     Job,
@@ -50,6 +50,49 @@ def smoke_scenario(**changes) -> Scenario:
         genetic=GeneticParameters(population_size=16, generations=4),
     )
     return base.derive(**changes) if changes else base
+
+
+def traffic_scenario(**settings) -> Scenario:
+    """A small dynamic-traffic scenario with the given traffic settings."""
+    settings.setdefault("model_options", {"offered_load_erlangs": 4.0, "request_count": 50})
+    return smoke_scenario(
+        rows=2,
+        columns=2,
+        wavelength_count=2,
+        optimizer="dynamic_rwa",
+        traffic=TrafficSettings(**settings),
+    )
+
+
+#: Documents that can never run -> the start of the error each job must keep.
+UNRUNNABLE = {
+    "infeasible_target": (
+        lambda: smoke_scenario(optimizer="first_fit", optimizer_options={"target_counts": 8}),
+        "AllocationError: communication c1 cannot reserve 8 wavelengths",
+    ),
+    "wrong_length_target": (
+        lambda: smoke_scenario(
+            optimizer="least_used", optimizer_options={"target_counts": [1, 2]}
+        ),
+        "AllocationError: expected 6 wavelength counts, got 2",
+    ),
+    "exhaustive_too_large": (
+        lambda: smoke_scenario(optimizer="exhaustive"),
+        "AllocationError: the chromosome space 2^48 is too large",
+    ),
+    "seed_on_first_fit": (
+        lambda: traffic_scenario(strategy="first_fit", strategy_options={"seed": 3}),
+        "TrafficError: invalid options for online allocator 'first_fit'",
+    ),
+    "unknown_model_option": (
+        lambda: traffic_scenario(model_options={"warp_factor": 9}),
+        "TrafficError: invalid options for traffic model 'poisson'",
+    ),
+    "non_integer_seed": (
+        lambda: traffic_scenario(strategy="random", strategy_options={"seed": "abc"}),
+        "TrafficError: invalid options for online allocator 'random'",
+    ),
+}
 
 
 def _subprocess_env() -> dict:
@@ -494,6 +537,16 @@ class TestWorker:
             assert stats.failed == 1 and stats.retried == 0
             snapshot = store.job(job.id)
             assert snapshot.state == "failed" and snapshot.attempts == 1
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_unrunnable_documents_fail_once(self, queue, case):
+        build, message = UNRUNNABLE[case]
+        job = queue.enqueue(build(), max_attempts=3)
+        stats = Worker(queue, backoff_base=0.0, poll_interval=0.01).run(drain=True)
+        assert stats.failed == 1 and stats.retried == 0 and stats.dead == 0
+        snapshot = queue.job(job.id)
+        assert snapshot.state == "failed" and snapshot.attempts == 1
+        assert snapshot.error.startswith(message), snapshot.error
 
     def test_keyboard_interrupt_releases_the_lease(self, tmp_path, monkeypatch):
         def interrupt(*args, **kwargs):

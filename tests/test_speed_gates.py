@@ -1,4 +1,4 @@
-"""Throughput floors of the fast paths against their slow oracles.
+"""Throughput floors of the fast paths.
 
 Two ratios gate the vectorized engine, each measured back to back on one
 fixed input so host speed cancels out:
@@ -10,8 +10,14 @@ fixed input so host speed cancels out:
   :meth:`AllocationEvaluator.evaluate` row by row: at least 5x on a
   population of 64 paper chromosomes.
 
-These ratios prove the fast paths stay fast relative to the oracles; they are
-not a performance trajectory (``perfbench/`` measures that).
+One absolute floor gates the dynamic-traffic simulator: at least 5 000
+events/s on a 20 000-request Poisson run on the 4x4 ring with 4 wavelengths.
+The engine runs at tens of thousands of events/s; the quadratic event-queue
+regression this guards against ran at ~1 300, so the floor separates the two
+regimes with a wide margin on slow machines.
+
+These gates prove the fast paths stay fast; they are not a performance
+trajectory (``perfbench/`` measures that).
 """
 
 from __future__ import annotations
@@ -25,12 +31,16 @@ from oracles import crowding_distance_python, non_dominated_sort_python
 from repro.allocation import AllocationEvaluator, crowding_distance, non_dominated_sort
 from repro.application import paper_mapping, paper_task_graph
 from repro.topology import build_topology
+from repro.traffic import DynamicTrafficSimulator, build_online_allocator, build_traffic_model
 
 #: Minimum vectorized/Python sort+crowding speedup at population 256.
 MIN_SELECTION_SPEEDUP = 10.0
 
 #: Minimum batch/scalar evaluation speedup at population 64.
 MIN_EVALUATION_SPEEDUP = 5.0
+
+#: Minimum events/second of the dynamic-traffic simulator.
+MIN_TRAFFIC_EVENTS_PER_SECOND = 5_000.0
 
 
 def ops_per_second(operation: Callable[[], object], min_seconds: float) -> float:
@@ -103,3 +113,17 @@ def test_batch_evaluation_beats_the_scalar_evaluator_fivefold():
     batch_rate = ops_per_second(lambda: batch.evaluate_population(tensor), 0.5)
     speedup = batch_rate / scalar_rate
     assert speedup >= MIN_EVALUATION_SPEEDUP, (scalar_rate, batch_rate)
+
+
+def test_traffic_simulator_keeps_its_events_per_second_floor():
+    topology = build_topology("ring", 4, 4, wavelength_count=4)
+    model = build_traffic_model(
+        "poisson", {"offered_load_erlangs": 16.0, "request_count": 20_000}, seed=2017
+    )
+    allocator = build_online_allocator("first_fit", None, seed=2018)
+    simulator = DynamicTrafficSimulator(topology, model, allocator, topology_name="ring")
+    started = time.perf_counter()
+    report = simulator.run()
+    seconds = time.perf_counter() - started
+    rate = report.events_processed / seconds
+    assert rate >= MIN_TRAFFIC_EVENTS_PER_SECOND, (report.events_processed, seconds)

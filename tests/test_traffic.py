@@ -28,6 +28,7 @@ from repro.traffic import (
     TRAFFIC_MODELS,
     BlockingReport,
     DynamicTrafficSimulator,
+    OnlineAllocator,
     build_online_allocator,
     build_traffic_model,
     erlang_b,
@@ -193,6 +194,13 @@ class TestOnlineAllocators:
         assert least.choose(self.REQUEST, (2, 1), [0, 4, 4]) == 1
         assert most.choose(self.REQUEST, (2, 1), [0, 4, 4]) == 1
 
+    def test_one_class_serves_every_policy(self):
+        for name in ONLINE_ALLOCATORS.names():
+            allocator = build_online_allocator(name, None, seed=3)
+            assert type(allocator) is OnlineAllocator and allocator.name == name
+        with pytest.raises(TrafficError):
+            OnlineAllocator("psychic")
+
     def test_random_is_seeded_and_in_range(self):
         first = build_online_allocator("random", None, seed=11)
         second = build_online_allocator("random", None, seed=11)
@@ -295,6 +303,26 @@ class TestDynamicTrafficSimulator:
         assert report.blocking_probability == pytest.approx(
             erlang_b(offered, servers), abs=0.03
         )
+
+    def test_matches_erlang_b_within_two_points_on_a_long_run(self):
+        # 40 000 requests shrink the binomial sampling noise to ~0.002, so the
+        # 0.02 bound only trips on a genuinely wrong simulator.
+        offered, servers = 3.0, 4
+        model = build_traffic_model(
+            "poisson",
+            {
+                "offered_load_erlangs": offered,
+                "request_count": 40_000,
+                "pairs": [[0, 1]],
+            },
+            seed=2017,
+        )
+        topology = build_topology("ring", 1, 2, wavelength_count=servers)
+        allocator = build_online_allocator("first_fit", None, seed=2018)
+        report = DynamicTrafficSimulator(
+            topology, model, allocator, topology_name="ring"
+        ).run()
+        assert abs(report.blocking_probability - erlang_b(offered, servers)) <= 0.02
 
 
 class TestAnalyticalHelpers:
@@ -553,6 +581,19 @@ class TestTrafficCli:
     def test_bad_loads_value_is_a_clean_error(self, capsys):
         assert main(["traffic", "--loads", "fast"]) == 2
         assert "--loads" in capsys.readouterr().err
+
+    def test_run_rejects_a_non_integer_seed_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        scenario = dynamic_scenario(strategy="random")
+        document = scenario.to_dict()
+        document["traffic"]["strategy_options"] = {"seed": "abc"}
+        path.write_text(json.dumps(document))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: invalid options for online allocator 'random': "
+        ), captured.err
+        assert "Traceback" not in captured.err
 
     def test_run_prints_blocking_summary(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"

@@ -119,10 +119,8 @@ from .traffic import (
 )
 from .store import (
     Job,
-    JobQueue,
     MemoryStore,
     ResultStore,
-    StoreBackend,
     Worker,
     WorkerPool,
 )
@@ -217,9 +215,7 @@ __all__ = [
     # result store + job queue
     "MemoryStore",
     "ResultStore",
-    "StoreBackend",
     "Job",
-    "JobQueue",
     "Worker",
     "WorkerPool",
 ]

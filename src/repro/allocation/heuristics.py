@@ -136,10 +136,19 @@ def policy_allocation(
     target_counts: Sequence[int] | int = 1,
     seed: Optional[int] = None,
 ) -> AllocationSolution:
-    """The allocation the policy named ``policy`` gives; only ``random`` reads ``seed``."""
-    if policy == "random":
-        return random_allocation(evaluator, target_counts, seed=seed)
-    return _greedy_assignment(evaluator, target_counts, policy)
+    """The allocation the policy named ``policy`` gives; only ``random`` reads ``seed``.
+
+    Like the ranked policies, ``random`` raises :class:`AllocationError` when
+    it finds no valid assignment.
+    """
+    if policy != "random":
+        return _greedy_assignment(evaluator, target_counts, policy)
+    solution = random_allocation(evaluator, target_counts, seed=seed)
+    if not solution.is_valid:
+        raise AllocationError(
+            f"random allocation found no valid draw for target_counts {target_counts!r}"
+        )
+    return solution
 
 
 def first_fit_allocation(

@@ -277,7 +277,14 @@ class HeuristicBackend:
             raise ScenarioError(
                 f"unknown options for optimizer {self.name!r}: {sorted(options)}"
             )
-        targets = [target_counts] if sweep is None else [int(count) for count in sweep]
+        if sweep is not None and not (
+            isinstance(sweep, (list, tuple))
+            and all(isinstance(count, int) and not isinstance(count, bool) for count in sweep)
+        ):
+            raise ScenarioError(
+                f"optimizer {self.name!r}: 'sweep' must be a list of integers, got {sweep!r}"
+            )
+        targets = [target_counts] if sweep is None else list(sweep)
         solutions: List[AllocationSolution] = []
         for target in targets:
             try:

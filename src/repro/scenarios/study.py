@@ -6,10 +6,9 @@ workload, mapping and optimizer names through the registries, builds the
 architecture and evaluator, executes the backend and wraps the outcome.
 
 :class:`Study` batches many scenarios: it deduplicates identical scenarios by
-fingerprint, caches their results in a pluggable
-:class:`~repro.store.backend.StoreBackend` (an in-process
-:class:`~repro.store.backend.MemoryStore` by default; pass a
-:class:`~repro.store.sqlite.ResultStore` to make studies durable and
+fingerprint, caches their results in a result store (an in-process
+:class:`~repro.store.sqlite.MemoryStore` by default; pass a
+:class:`~repro.store.sqlite.ResultStore` file to make studies durable and
 warm-startable across processes), executes the remainder serially or through
 a :class:`~concurrent.futures.ProcessPoolExecutor`, and reports progress
 through a callback.  Because every scenario carries its own seed, serial and
@@ -40,8 +39,9 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (jobs lives in repro.store)
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.store imports this module)
     from ..store.jobs import Job
+    from ..store.sqlite import ResultStore
     from ..traffic.simulator import BlockingReport
 
 import json
@@ -52,7 +52,6 @@ from ..analysis.csvout import write_csv
 from ..analysis.plotting import format_table
 from ..errors import ScenarioError
 from ..simulation.verify import SimulationVerifier, VerificationReport
-from ..store.backend import MemoryStore, StoreBackend
 from ..telemetry import (
     MetricsRegistry,
     Stopwatch,
@@ -119,7 +118,7 @@ def build_scenario_evaluator(scenario: Scenario) -> AllocationEvaluator:
 
 
 def execute_scenario(
-    scenario: Scenario, store: Optional[StoreBackend] = None
+    scenario: Scenario, store: Optional["ResultStore"] = None
 ) -> "ScenarioOutcome":
     """Run one scenario end to end and return the full outcome.
 
@@ -237,7 +236,7 @@ def _execute_dynamic_scenario(scenario: Scenario) -> "ScenarioOutcome":
 
 
 def fetch_or_execute(
-    scenario: Scenario, store: Optional[StoreBackend] = None
+    scenario: Scenario, store: Optional["ResultStore"] = None
 ) -> Tuple["ScenarioResult", bool]:
     """Serve a scenario's summary from the store, executing only on a miss.
 
@@ -575,18 +574,18 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class StudyCache:
-    """Dict-like, live view of a study's store backend.
+    """Dict-like, live view of a study's result store.
 
     This preserves the historical ``Study.cache`` contract (a mutable
-    fingerprint-keyed mapping shared across ``run`` calls) on top of any
-    :class:`~repro.store.backend.StoreBackend`: lookups use the side-effect
-    free ``peek`` so inspecting the cache never skews hit/miss telemetry,
-    assignments write through to the store, and ``len``/``in`` map to the
-    backend's native (cheap) operations.  Entries cannot be deleted per key —
-    eviction is the store's ``gc()`` policy.
+    fingerprint-keyed mapping shared across ``run`` calls) on top of the
+    store: lookups use the side-effect free ``peek`` so inspecting the cache
+    never skews hit/miss telemetry, assignments write through to the store,
+    and ``len``/``in`` map to the store's native (cheap) operations.
+    Entries cannot be deleted per key — eviction is the store's ``gc()``
+    policy.
     """
 
-    def __init__(self, store: StoreBackend) -> None:
+    def __init__(self, store: "ResultStore") -> None:
         self._store = store
 
     def __getitem__(self, fingerprint: str) -> "ScenarioResult":
@@ -646,18 +645,18 @@ class Study:
     name:
         Label used in reports and serialised documents.
     store:
-        Result-store backend consulted before any scenario executes and
-        written through after each execution.  Defaults to a fresh in-process
-        :class:`~repro.store.backend.MemoryStore` (the historical dict-cache
-        behaviour); pass a :class:`~repro.store.sqlite.ResultStore` to make
-        the study resumable and warm-startable across processes.
+        Result store consulted before any scenario executes and written
+        through after each execution.  Defaults to a fresh in-process
+        :class:`~repro.store.sqlite.MemoryStore`; pass a
+        :class:`~repro.store.sqlite.ResultStore` file to make the study
+        resumable and warm-startable across processes.
     """
 
     def __init__(
         self,
         scenarios: Sequence[Scenario],
         name: str = "study",
-        store: Optional[StoreBackend] = None,
+        store: Optional["ResultStore"] = None,
     ) -> None:
         scenarios = list(scenarios)
         if not scenarios:
@@ -669,7 +668,11 @@ class Study:
                 )
         self._scenarios = scenarios
         self._name = name
-        self._store: StoreBackend = MemoryStore() if store is None else store
+        if store is None:
+            from ..store.sqlite import MemoryStore
+
+            store = MemoryStore()
+        self._store = store
 
     # ----------------------------------------------------------------- access
     @property
@@ -683,8 +686,8 @@ class Study:
         return list(self._scenarios)
 
     @property
-    def store(self) -> StoreBackend:
-        """The result-store backend this study reads and writes."""
+    def store(self) -> "ResultStore":
+        """The result store this study reads and writes."""
         return self._store
 
     @property
@@ -693,7 +696,7 @@ class Study:
 
         Reads and writes go straight through to the store, so pre-seeding
         (``study.cache[fp] = result``) still short-circuits :meth:`run` and
-        ``len(study.cache)`` stays cheap even on SQLite backends.
+        ``len(study.cache)`` stays one ``COUNT`` query.
         """
         return StudyCache(self._store)
 
@@ -757,7 +760,7 @@ class Study:
 
         Instead of running the optimizers in this process (:meth:`run`), each
         *unique* scenario becomes one job on the study's store
-        (:meth:`~repro.store.jobs.JobQueue.enqueue`) for ``repro work``
+        (:meth:`~repro.store.jobs.SqlJobQueue.enqueue`) for ``repro work``
         workers to execute; the study association is recorded immediately so
         Pareto fronts can be fetched by study name once the workers finish.
         With ``skip_cached`` scenarios whose result is already stored are not

@@ -3,17 +3,15 @@
 This subpackage turns the in-process study cache into a long-lived service
 layer:
 
-* :mod:`~repro.store.backend` — the :class:`StoreBackend` protocol and the
-  in-process backend (:class:`MemoryStore`, the
-  :class:`~repro.scenarios.study.Study` default).
 * :mod:`~repro.store.sqlite` — :class:`ResultStore`, the content-addressed,
-  SQLite/WAL-backed durable backend with schema versioning, upserts, stats
-  and LRU/max-age garbage collection.
+  SQLite/WAL-backed store with schema versioning, upserts, stats and
+  LRU/max-age garbage collection, and :class:`MemoryStore`, the same store on
+  a private ``:memory:`` database (the
+  :class:`~repro.scenarios.study.Study` default).
 * :mod:`~repro.store.jobs` — the durable job queue: the :class:`Job`
-  document, the :class:`JobQueue` protocol every backend implements
-  (``queued → leased → done | failed | dead``) and its one implementation,
-  the guarded SQL both backends run (on the store file, or on a private
-  ``:memory:`` database for :class:`MemoryStore`).
+  document and :class:`~repro.store.jobs.SqlJobQueue`, the guarded SQL of
+  ``queued → leased → done | failed | dead`` that every store runs on its
+  database.
 * :mod:`~repro.store.worker` — :class:`Worker` / :class:`WorkerPool`, the
   claim → execute → complete loops behind ``repro work``.
 * :mod:`~repro.store.server` — a stdlib :mod:`http.server` JSON API that
@@ -37,15 +35,14 @@ Queue mode::
 from typing import Any
 
 from ..errors import JobError, StoreError
-from .backend import MemoryStore, StoreBackend
-from .jobs import JOB_STATES, Job, JobQueue
+from .jobs import JOB_STATES, Job
 
-# The SQLite store, the HTTP server and the worker persist/serve/execute
-# ScenarioResult documents, so their modules import repro.scenarios.study —
-# which itself imports the backend above for its default store.  Resolving
-# them lazily (PEP 562) keeps `from repro.store import ResultStore` working
-# without an import cycle.
+# The stores, the HTTP server and the worker persist/serve/execute
+# ScenarioResult documents, so their modules import repro.scenarios.study.
+# Resolving them lazily (PEP 562) keeps `import repro.store` free of the
+# scenario layer and of any import-order constraint on it.
 _LAZY = {
+    "MemoryStore": ("repro.store.sqlite", "MemoryStore"),
     "ResultStore": ("repro.store.sqlite", "ResultStore"),
     "STORE_SCHEMA": ("repro.store.sqlite", "STORE_SCHEMA"),
     "MIGRATABLE_SCHEMAS": ("repro.store.sqlite", "MIGRATABLE_SCHEMAS"),
@@ -76,12 +73,10 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobError",
-    "JobQueue",
     "MIGRATABLE_SCHEMAS",
     "MemoryStore",
     "ResultStore",
     "STORE_SCHEMA",
-    "StoreBackend",
     "StoreError",
     "StoreHTTPServer",
     "Worker",

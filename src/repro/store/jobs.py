@@ -20,12 +20,11 @@ A *job* is one scenario waiting to be executed by a worker
 * ``dead`` — transient failures (or lease expiries) exhausted
   ``max_attempts``.
 
-:class:`SqlJobQueue` is the one :class:`JobQueue` implementation: guarded SQL
-over the :data:`JOBS_TABLE` of its host store's connection.  The SQLite
-:class:`~repro.store.sqlite.ResultStore` runs it on its file (durable, shared
-by every worker process pointed at the file); the in-process
-:class:`~repro.store.backend.MemoryStore` runs it on a private ``:memory:``
-database (tests and single-process pipelines).
+:class:`SqlJobQueue` is the queue: guarded SQL over the :data:`JOBS_TABLE`
+of :class:`~repro.store.sqlite.ResultStore`'s connection, mixed into that
+store.  On a file it is durable and shared by every worker process pointed
+at the file; :class:`~repro.store.sqlite.MemoryStore` runs it on a private
+``:memory:`` database (tests and single-process pipelines).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import sqlite3
 import time
 import uuid
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import JobError, StoreError
 from ..telemetry import get_registry
@@ -49,7 +48,6 @@ __all__ = [
     "JOBS_TABLE",
     "JOB_STATES",
     "Job",
-    "JobQueue",
     "SqlJobQueue",
     "backoff_seconds",
     "enqueue_submission",
@@ -118,8 +116,8 @@ def scenarios_from_submission(payload: Any) -> Tuple[Optional[str], List["Scenar
     array of scenario documents — the same shapes ``repro run`` and
     ``repro study`` consume, so any file that runs locally also submits.
     """
-    # Imported lazily: this module is loaded by repro.store.backend, which
-    # repro.scenarios.study itself imports for the default store.
+    # Imported lazily: `import repro.store` loads this module without the
+    # scenario layer (see the package's lazy attributes).
     from ..scenarios.scenario import Scenario
     from ..scenarios.study import STUDY_SCHEMA, Study
 
@@ -238,62 +236,6 @@ class Job:
             "updated_at": self.updated_at,
             "scenario": dict(self.scenario),
         }
-
-
-@runtime_checkable
-class JobQueue(Protocol):
-    """The queue operations a worker and the HTTP service need from a store."""
-
-    def enqueue(
-        self,
-        scenario: Union["Scenario", Dict[str, Any]],
-        priority: int = 0,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        study: Optional[str] = None,
-    ) -> Job:
-        """Validate and append one scenario job; returns the queued job."""
-
-    def claim(
-        self, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> Optional[Job]:
-        """Atomically lease the next runnable job (queued and due, or an
-        expired lease), or ``None`` when nothing is claimable."""
-
-    def heartbeat(
-        self, job_id: str, worker_id: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
-    ) -> bool:
-        """Extend a held lease; False when the lease was lost in the meantime."""
-
-    def complete(self, job_id: str, worker_id: str) -> Job:
-        """Mark a leased job done (the result is already in the store)."""
-
-    def fail(
-        self,
-        job_id: str,
-        worker_id: str,
-        error: str,
-        retryable: bool = True,
-        delay_seconds: float = 0.0,
-    ) -> Job:
-        """Record a failed attempt; re-queues, fails or kills the job."""
-
-    def release(self, job_id: str, worker_id: str) -> Job:
-        """Give a leased job back untouched (graceful shutdown mid-claim)."""
-
-    def cancel(self, job_id: str) -> bool:
-        """Drop a *queued* job; False when absent or no longer cancellable."""
-
-    def requeue(self, job_id: str) -> Job:
-        """Reset a terminal (done/failed/dead) job to queued with a fresh budget."""
-
-    def job(self, job_id: str) -> Optional[Job]:
-        """The job with this id, or ``None``."""
-
-    def jobs(self, state: Optional[str] = None, limit: Optional[int] = None) -> List[Job]:
-        """Jobs newest-first, optionally filtered by state."""
-
-    def jobs_stats(self) -> Dict[str, Any]:
-        """Queue telemetry: per-state counts, depth, mean wait/run times."""
 
 
 def _require_state(value: Optional[str]) -> None:
@@ -437,7 +379,7 @@ CREATE INDEX IF NOT EXISTS jobs_claim_idx
 
 
 class SqlJobQueue:
-    """The :class:`JobQueue` over a :data:`JOBS_TABLE` (mixed into both stores).
+    """The job queue over a :data:`JOBS_TABLE` (mixed into the result store).
 
     The host store supplies ``_lock`` (a re-entrant lock guarding the
     connection), ``_connection`` (an :mod:`sqlite3` connection with
@@ -721,7 +663,7 @@ class SqlJobQueue:
     def _age_jobs(self, cutoff: float) -> None:
         """Delete finished jobs last updated before ``cutoff``.
 
-        Both stores' ``gc`` call this inside their transaction, so finished
+        The store's ``gc`` calls this inside its transaction, so finished
         jobs age out alongside the results they produced.  Live
         (queued/leased) jobs are never collected.
         """

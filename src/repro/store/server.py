@@ -1,8 +1,9 @@
 """Stdlib HTTP JSON API over a result store (``repro serve``).
 
 The read half serves cached Pareto fronts, verification reports and study
-listings straight out of a :class:`~repro.store.backend.StoreBackend` without
-ever re-running an optimizer.  The write half is the job queue: ``POST
+listings straight out of a :class:`~repro.store.sqlite.ResultStore` (a file,
+or the in-process :class:`~repro.store.sqlite.MemoryStore`) without ever
+re-running an optimizer.  The write half is the job queue: ``POST
 /api/v1/jobs`` accepts a scenario document, a study document or an array of
 scenarios and enqueues one durable job per unique scenario for ``repro work``
 workers to execute; clients poll ``GET /api/v1/jobs/<id>`` and fetch the
@@ -37,10 +38,10 @@ Every error path answers with the same JSON envelope
 envelope instead of a raw traceback.
 
 ``GET /results/<fp>`` and ``/pareto`` answer from the stored JSON text
-(:meth:`~repro.store.backend.StoreBackend.document`) in compact form: the
+(:meth:`~repro.store.sqlite.ResultStore.document`) in compact form: the
 document route writes the text itself, the Pareto route a body built once
 per stored text.  The server remembers, per (fingerprint, SHA-256 of the
-text), that the text passed :func:`~repro.store.backend.decode_result`, so a
+text), that the text passed :func:`~repro.store.sqlite.decode_result`, so a
 warm GET neither decodes nor re-encodes; a re-put row has a new digest and
 is checked again, and a corrupt row still answers the 500 envelope.
 
@@ -66,8 +67,8 @@ from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import Stopwatch, get_registry, render_prometheus
 from ..telemetry.prometheus import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .backend import StoreBackend, decode_result
 from .jobs import DEFAULT_MAX_ATTEMPTS, Job, enqueue_submission
+from .sqlite import ResultStore, decode_result
 
 __all__ = ["StoreHTTPServer", "create_server", "serve"]
 
@@ -164,7 +165,7 @@ class StoreHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        store: StoreBackend,
+        store: ResultStore,
         quiet: bool = True,
     ) -> None:
         self.store = store
@@ -409,7 +410,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         """``GET /metrics``: the global registry in Prometheus text format.
 
         Store/queue state (entry counts, queue depth, per-state totals ...)
-        is derived at scrape time from :meth:`~StoreBackend.stats` and
+        is derived at scrape time from :meth:`~ResultStore.stats` and
         exported as gauges alongside the registry's counters and timers.
         """
         extra: Dict[str, Any] = {}
@@ -457,7 +458,7 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         elif route == ["stats"]:
             self._send_json(store.stats())
         elif route == ["results"]:
-            self._send_json({"results": _result_rows(store)})
+            self._send_json({"results": store.rows()})
         elif len(route) == 2 and route[0] == "results":
             self._send_stored(route[1], pareto=False)
         elif len(route) == 3 and route[0] == "results" and route[2] == "pareto":
@@ -621,26 +622,15 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         return payload
 
 
-def _result_rows(store: StoreBackend) -> List[Dict[str, Any]]:
-    """Metadata listing rows; uses the SQLite fast path when available."""
-    rows = getattr(store, "rows", None)
-    if callable(rows):
-        return rows()
-    return [
-        {"fingerprint": fingerprint, **result.summary_row()}
-        for fingerprint, result in store.items()
-    ]
-
-
 def create_server(
-    store: StoreBackend, host: str = "127.0.0.1", port: int = 0, quiet: bool = True
+    store: ResultStore, host: str = "127.0.0.1", port: int = 0, quiet: bool = True
 ) -> StoreHTTPServer:
     """Bind (but do not start) a store server; ``port=0`` picks a free port."""
     return StoreHTTPServer((host, port), store, quiet=quiet)
 
 
 def serve(
-    store: StoreBackend, host: str = "127.0.0.1", port: int = 8787, quiet: bool = True
+    store: ResultStore, host: str = "127.0.0.1", port: int = 8787, quiet: bool = True
 ) -> None:
     """Serve the store until interrupted (see :meth:`StoreHTTPServer.run`)."""
     with create_server(store, host, port, quiet=quiet) as server:

@@ -1,10 +1,12 @@
-"""SQLite-backed, content-addressed persistent result store.
+"""The SQLite-backed, content-addressed result store.
 
 :class:`ResultStore` persists full
 :class:`~repro.scenarios.study.ScenarioResult` documents keyed by the scenario
 fingerprint (the content address — the SHA-256 digest of the canonical
-scenario document).  It is the durable
-:class:`~repro.store.backend.StoreBackend` implementation:
+scenario document).  It is the one store implementation: a file gives the
+durable store, and :class:`MemoryStore` runs the same SQL on a private
+``:memory:`` database as the default store of a
+:class:`~repro.scenarios.study.Study`.
 
 * **Durability & sharing** — the database runs in WAL journal mode with a
   busy timeout (opening retries while another process initialises a fresh
@@ -16,18 +18,17 @@ scenario document).  It is the durable
   :class:`~repro.errors.StoreError` instead of silently misreading documents.
 * **Integrity** — ``put`` re-derives the fingerprint from the embedded
   scenario document and refuses mismatches; every decode
-  (:func:`~repro.store.backend.decode_result`) validates that the stored
-  document still carries the requested fingerprint.
-* **Stats & GC** — per-instance hit/miss/eviction counters plus an LRU /
-  max-age eviction policy (:meth:`gc`) keep long-lived stores bounded.
-  :meth:`touch` (one per served GET) is buffered and written in one
-  transaction per second or per :data:`_TOUCH_FLUSH_PENDING` fingerprints;
-  every reader of the usage figures flushes first.
-* **Job queue** — :class:`~repro.store.jobs.SqlJobQueue` runs on the file's
-  ``jobs`` table (``queued → leased → done|failed|dead`` with
+  (:func:`decode_result`) validates that the stored document still carries
+  the requested fingerprint.
+* **Stats & GC** — hit/miss/eviction counters plus an LRU / max-age
+  eviction policy (:meth:`ResultStore.gc`) keep long-lived stores bounded.
+  :meth:`ResultStore.touch` (one per served GET) is buffered and written in
+  one transaction per second or per :data:`_TOUCH_FLUSH_PENDING`
+  fingerprints; every reader of the usage figures flushes first.
+* **Job queue** — :class:`~repro.store.jobs.SqlJobQueue` runs on the
+  database's ``jobs`` table (``queued → leased → done|failed|dead`` with
   lease/heartbeat columns), so ``POST /jobs`` submissions survive restarts
-  and any number of ``repro work`` processes can claim work from the same
-  file.
+  and any number of ``repro work`` processes can claim work from one file.
 
 The store is thread-safe (one connection guarded by a lock — the threading
 HTTP server in :mod:`repro.store.server` shares a single instance) and may be
@@ -47,10 +48,15 @@ from ..errors import StoreError
 from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import get_registry
-from .backend import decode_result
 from .jobs import JOBS_TABLE, SqlJobQueue
 
-__all__ = ["MIGRATABLE_SCHEMAS", "STORE_SCHEMA", "ResultStore"]
+__all__ = [
+    "MIGRATABLE_SCHEMAS",
+    "STORE_SCHEMA",
+    "MemoryStore",
+    "ResultStore",
+    "decode_result",
+]
 
 #: Identifier pinned in every store database; bump on incompatible layouts.
 STORE_SCHEMA = "repro.store/2"
@@ -65,6 +71,35 @@ def _current_version() -> str:
     from .. import __version__
 
     return __version__
+
+
+def decode_result(fingerprint: str, document: str) -> ScenarioResult:
+    """The stored JSON text of ``fingerprint`` as a :class:`ScenarioResult`.
+
+    The one integrity check every reader of stored text shares: the text
+    must be valid JSON, decode to a ``ScenarioResult``, and carry the
+    fingerprint it is stored under.  Anything else is a corrupt row and
+    raises :class:`~repro.errors.StoreError`.
+    """
+    try:
+        payload = json.loads(document)
+    except json.JSONDecodeError as error:
+        raise StoreError(
+            f"stored document for {fingerprint!r} is not valid JSON: {error}"
+        ) from None
+    try:
+        result = ScenarioResult.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as error:
+        raise StoreError(
+            f"stored document for {fingerprint!r} does not decode to a "
+            f"ScenarioResult: {error}"
+        ) from None
+    if result.fingerprint != fingerprint:
+        raise StoreError(
+            f"stored document under {fingerprint!r} carries fingerprint "
+            f"{result.fingerprint!r}; the store row is corrupt"
+        )
+    return result
 
 
 _TABLES = """
@@ -491,12 +526,12 @@ class ResultStore(SqlJobQueue):
                 for key in ("hits", "misses", "evictions")
             }
         try:
-            size_bytes = self._path.stat().st_size
+            size_bytes = 0 if self.location is None else self._path.stat().st_size
         except OSError:  # pragma: no cover - racing deletion
             size_bytes = 0
         stats = {
             "backend": self.backend_name,
-            "path": str(self._path),
+            "path": self.location,
             "schema": STORE_SCHEMA,
             "entries": entries,
             "studies": studies,
@@ -567,3 +602,18 @@ class ResultStore(SqlJobQueue):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self._path)!r})"
+
+
+class MemoryStore(ResultStore):
+    """The in-process store, the default of every :class:`~repro.scenarios.study.Study`.
+
+    It runs :class:`ResultStore`'s SQL on a private ``:memory:`` database, so
+    it keeps the file store's checks, counters and job queue; its results and
+    jobs go when the store is closed or dropped.
+    """
+
+    backend_name = "memory"
+    location = None
+
+    def __init__(self) -> None:
+        super().__init__(":memory:")

@@ -1,7 +1,7 @@
 """Job-executing workers: the compute half of the study service.
 
 A :class:`Worker` drains one store's job queue: it atomically claims jobs
-(:meth:`~repro.store.jobs.JobQueue.claim`), executes the scenario through
+(:meth:`~repro.store.jobs.SqlJobQueue.claim`), executes the scenario through
 :func:`~repro.scenarios.study.fetch_or_execute` — so results land in the
 content-addressed store and resubmitted scenarios are served warm with zero
 optimizer executions — heartbeats mid-run from a background thread to keep
@@ -31,11 +31,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import AllocationError, JobError, ReproError, ScenarioError, TrafficError
 from ..telemetry import MetricsRegistry, get_registry, merge_snapshots, set_registry, span
-from .backend import StoreBackend
 from .jobs import DEFAULT_LEASE_SECONDS, Job, backoff_seconds
 
 if TYPE_CHECKING:
     from ..scenarios.study import ScenarioOutcome
+    from .sqlite import ResultStore
 
 __all__ = ["Worker", "WorkerPool", "WorkerStats"]
 
@@ -99,8 +99,9 @@ class Worker:
     Parameters
     ----------
     store:
-        Any :class:`~repro.store.backend.StoreBackend`; jobs are claimed from
-        and results written through it.
+        A :class:`~repro.store.sqlite.ResultStore` (or its in-process
+        :class:`~repro.store.sqlite.MemoryStore`); jobs are claimed from and
+        results written through it.
     worker_id:
         Lease-owner identity; defaults to ``host-pid-random``.
     lease_seconds:
@@ -120,7 +121,7 @@ class Worker:
 
     def __init__(
         self,
-        store: StoreBackend,
+        store: ResultStore,
         worker_id: Optional[str] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_interval: float = 0.2,

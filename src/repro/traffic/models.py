@@ -320,6 +320,6 @@ def build_traffic_model(
         merged["seed"] = int(seed)
     try:
         model = factory(**merged)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise TrafficError(f"invalid options for traffic model {name!r}: {exc}") from None
     return model

@@ -26,7 +26,6 @@ from repro.scenarios import Scenario, Study, TrafficSettings, execute_scenario
 from repro.store import (
     JOB_STATES,
     Job,
-    JobQueue,
     MemoryStore,
     ResultStore,
     Worker,
@@ -92,6 +91,24 @@ UNRUNNABLE = {
         lambda: traffic_scenario(strategy="random", strategy_options={"seed": "abc"}),
         "TrafficError: invalid options for online allocator 'random'",
     ),
+    "sweep_of_strings": (
+        lambda: smoke_scenario(optimizer="first_fit", optimizer_options={"sweep": ["x"]}),
+        "ScenarioError: optimizer 'first_fit': 'sweep' must be a list of integers",
+    ),
+    "sweep_not_a_list": (
+        lambda: smoke_scenario(optimizer="most_used", optimizer_options={"sweep": 3}),
+        "ScenarioError: optimizer 'most_used': 'sweep' must be a list of integers",
+    ),
+    "non_integer_model_seed": (
+        lambda: traffic_scenario(
+            model_options={"offered_load_erlangs": 4.0, "request_count": 50, "seed": "abc"}
+        ),
+        "TrafficError: invalid options for traffic model 'poisson'",
+    ),
+    "random_infeasible_target": (
+        lambda: smoke_scenario(optimizer="random", optimizer_options={"target_counts": 8}),
+        "AllocationError: random allocation found no valid draw",
+    ),
 }
 
 
@@ -140,9 +157,6 @@ class TestTransitionRules:
 
 # ------------------------------------------------------------- queue semantics
 class TestQueueSemantics:
-    def test_backends_satisfy_job_queue_protocol(self, queue):
-        assert isinstance(queue, JobQueue)
-
     def test_enqueue_returns_queued_job(self, queue):
         scenario = smoke_scenario()
         job = queue.enqueue(scenario)
@@ -941,6 +955,21 @@ class TestJobsCli:
         document.write_text(json.dumps([smoke_scenario().to_dict()]))
         assert main(["study", str(document), "--enqueue"]) == 2
         assert "needs --store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case",
+        ["non_integer_model_seed", "random_infeasible_target", "sweep_not_a_list", "sweep_of_strings"],
+    )
+    def test_run_rejects_an_unrunnable_document_cleanly(self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        build, message = UNRUNNABLE[case]
+        path = tmp_path / "scenario.json"
+        path.write_text(build().to_json())
+        assert main(["run", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: " + message.split(": ", 1)[1]), error
+        assert "Traceback" not in error
 
 
 # ---------------------------------------------------------- graceful shutdown

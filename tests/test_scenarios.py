@@ -368,7 +368,7 @@ class TestStudy:
         study = Study([smoke_scenario()])
         first = study.run()
         second = study.run()
-        assert first.results[0] is second.results[0]
+        assert first.results[0] == second.results[0]
 
     def test_progress_callback_sees_every_scenario(self):
         seen = []

@@ -16,6 +16,11 @@ The engine runs at tens of thousands of events/s; the quadratic event-queue
 regression this guards against ran at ~1 300, so the floor separates the two
 regimes with a wide margin on slow machines.
 
+One more ratio gates the result store: a study re-run through a new
+:class:`~repro.store.ResultStore` handle on the file its cold run filled
+(NW 4/8/12, population 32, 12 generations) must serve every scenario from
+the store, with the cold run's documents, at least 10x faster.
+
 These gates prove the fast paths stay fast; they are not a performance
 trajectory (``perfbench/`` measures that).
 """
@@ -30,6 +35,9 @@ import numpy as np
 from oracles import crowding_distance_python, non_dominated_sort_python
 from repro.allocation import AllocationEvaluator, crowding_distance, non_dominated_sort
 from repro.application import paper_mapping, paper_task_graph
+from repro.config import GeneticParameters
+from repro.scenarios import Scenario, Study
+from repro.store import ResultStore
 from repro.topology import build_topology
 from repro.traffic import DynamicTrafficSimulator, build_online_allocator, build_traffic_model
 
@@ -41,6 +49,9 @@ MIN_EVALUATION_SPEEDUP = 5.0
 
 #: Minimum events/second of the dynamic-traffic simulator.
 MIN_TRAFFIC_EVENTS_PER_SECOND = 5_000.0
+
+#: Minimum cold/warm wall-clock ratio of a study re-run against its store.
+MIN_STORE_WARMUP_SPEEDUP = 10.0
 
 
 def ops_per_second(operation: Callable[[], object], min_seconds: float) -> float:
@@ -127,3 +138,27 @@ def test_traffic_simulator_keeps_its_events_per_second_floor():
     seconds = time.perf_counter() - started
     rate = report.events_processed / seconds
     assert rate >= MIN_TRAFFIC_EVENTS_PER_SECOND, (report.events_processed, seconds)
+
+
+def test_warm_study_rerun_beats_the_cold_run_tenfold(tmp_path):
+    scenarios = [
+        Scenario(
+            name=f"store-bench-nw{count}",
+            wavelength_count=count,
+            genetic=GeneticParameters(population_size=32, generations=12),
+        )
+        for count in (4, 8, 12)
+    ]
+    path = tmp_path / "bench.sqlite"
+    with ResultStore(path) as store:
+        started = time.perf_counter()
+        cold = Study(scenarios, name="store-bench", store=store).run()
+        cold_seconds = time.perf_counter() - started
+    with ResultStore(path) as store:
+        started = time.perf_counter()
+        warm = Study(scenarios, name="store-bench", store=store).run()
+        warm_seconds = time.perf_counter() - started
+    assert warm.store_misses == 0
+    assert [result.to_dict() for result in warm] == [result.to_dict() for result in cold]
+    speedup = cold_seconds / warm_seconds
+    assert speedup >= MIN_STORE_WARMUP_SPEEDUP, (cold_seconds, warm_seconds)

@@ -29,7 +29,7 @@ from repro.config import GeneticParameters
 from repro.errors import StoreError
 from repro.scenarios import Scenario, ScenarioResult, Study, execute_scenario
 from repro.scenarios.study import fetch_or_execute
-from repro.store import MemoryStore, ResultStore, StoreBackend, create_server
+from repro.store import MemoryStore, ResultStore, create_server
 from repro.store.sqlite import STORE_SCHEMA
 from repro.telemetry import MetricsRegistry, set_registry
 
@@ -59,22 +59,12 @@ def _put_repeatedly(arguments: Tuple[str, Dict[str, Any], int]) -> int:
     return count
 
 
-# -------------------------------------------------------------------- protocol
-class TestStoreBackendProtocol:
-    def test_memory_store_satisfies_protocol(self):
-        assert isinstance(MemoryStore(), StoreBackend)
-
-    def test_result_store_satisfies_protocol(self, tmp_path):
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            assert isinstance(store, StoreBackend)
-
-
 # ---------------------------------------------------------------- memory store
 class TestMemoryStore:
     def test_round_trip_preserves_identity(self, smoke_result):
         store = MemoryStore()
         store.put(smoke_result)
-        assert store.get(smoke_result.fingerprint) is smoke_result
+        assert store.get(smoke_result.fingerprint) == smoke_result
         assert smoke_result.fingerprint in store
         assert len(store) == 1
 
@@ -143,13 +133,13 @@ class TestResultStore:
     def test_fingerprint_is_a_content_address(self, tmp_path, smoke_result):
         forged = smoke_result.to_dict()
         forged["fingerprint"] = "0" * 16
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            with pytest.raises(StoreError, match="content address"):
+        for store in (MemoryStore(), ResultStore(tmp_path / "s.sqlite")):
+            with store, pytest.raises(StoreError, match="content address"):
                 store.put(ScenarioResult.from_dict(forged))
 
     def test_non_result_rejected(self, tmp_path):
-        with ResultStore(tmp_path / "s.sqlite") as store:
-            with pytest.raises(StoreError, match="ScenarioResult"):
+        for store in (MemoryStore(), ResultStore(tmp_path / "s.sqlite")):
+            with store, pytest.raises(StoreError, match="ScenarioResult"):
                 store.put({"not": "a result"})
 
     def test_corrupt_file_rejected_with_store_error(self, tmp_path):
@@ -349,7 +339,7 @@ class TestStudyWithStore:
         second = study.run()
         assert (first.store_hits, first.store_misses) == (0, 1)
         assert (second.store_hits, second.store_misses) == (1, 0)
-        assert first.results[0] is second.results[0]
+        assert first.results[0] == second.results[0]
 
     def test_parallel_study_writes_through_the_store(self, tmp_path):
         path = tmp_path / "parallel.sqlite"
@@ -388,7 +378,7 @@ class TestStudyWithStore:
 
         monkeypatch.setattr(study_module, "execute_scenario", forbidden)
         result = study.run()
-        assert result.results[0] is smoke_result
+        assert result.results[0] == smoke_result
         assert result.store_hits == 1
 
     def test_cache_view_is_dict_like(self, smoke_result):
@@ -398,7 +388,7 @@ class TestStudyWithStore:
         assert len(cache) == 0 and scenario.fingerprint() not in cache
         cache[smoke_result.fingerprint] = smoke_result
         assert len(study.cache) == 1
-        assert study.cache[smoke_result.fingerprint] is smoke_result
+        assert study.cache[smoke_result.fingerprint] == smoke_result
         assert list(study.cache) == [smoke_result.fingerprint]
         assert dict(study.cache.items()) == {smoke_result.fingerprint: smoke_result}
         assert study.cache.get("absent") is None
@@ -733,6 +723,7 @@ class TestServingStoredDocuments:
         memory.put(smoke_result)
         fingerprint = smoke_result.fingerprint
         bodies = []
+        listings = []
         with ResultStore(tmp_path / "s.sqlite") as sqlite_store:
             sqlite_store.put(smoke_result)
             for store in (memory, sqlite_store):
@@ -744,9 +735,13 @@ class TestServingStoredDocuments:
                             for route in ("", "/pareto", "/verification")
                         ]
                     )
+                    listings.append(json.loads(_fetch(port, "/api/v1/results")[1]))
         assert bodies[0] == bodies[1]
         assert all(status == 200 for status, _ in bodies[0])
         assert memory.stats()["hits"] == 3
+        (memory_row,), (sqlite_row,) = (listing["results"] for listing in listings)
+        assert memory_row["fingerprint"] == sqlite_row["fingerprint"] == fingerprint
+        assert list(memory_row) == list(sqlite_row)
 
 
 # --------------------------------------------------------------- batched touch

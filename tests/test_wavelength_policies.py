@@ -172,15 +172,20 @@ def test_static_policies_match_goldens(policy, wavelength_count, label):
     assert front == STATIC[(policy, wavelength_count, label)]
 
 
-@pytest.mark.parametrize("policy", ["first_fit", "least_used", "most_used"])
+@pytest.mark.parametrize("policy", ["first_fit", "least_used", "most_used", "random"])
 def test_infeasible_static_targets_keep_their_errors(policy):
     def run(options):
         execute_scenario(
             Scenario(optimizer=policy, wavelength_count=4, optimizer_options=options)
         )
 
-    with pytest.raises(AllocationError, match=r"^communication c1 cannot reserve 3 "
-                       r"wavelengths: only 1 conflict-free channels remain$"):
+    single = (
+        r"^random allocation found no valid draw for target_counts 3$"
+        if policy == "random"
+        else r"^communication c1 cannot reserve 3 wavelengths: only 1 conflict-free "
+        r"channels remain$"
+    )
+    with pytest.raises(AllocationError, match=single):
         run({"target_counts": 3})
     with pytest.raises(ScenarioError, match=rf"^optimizer '{policy}': no entry of "
                        r"sweep \[3, 4\] is feasible$"):

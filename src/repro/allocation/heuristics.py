@@ -60,13 +60,23 @@ def preference(policy: str, usage: Sequence[int]) -> Callable[[int], Tuple[int, 
     return lambda channel: (weight * usage[channel], channel)
 
 
+def _is_count(value: object) -> bool:
+    """An ``int`` and not a ``bool``: the rule ``sweep`` entries follow too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalise_counts(
     evaluator: AllocationEvaluator, target_counts: Sequence[int] | int
 ) -> List[int]:
-    if isinstance(target_counts, int):
+    if _is_count(target_counts):
         counts = [target_counts] * evaluator.communication_count
+    elif isinstance(target_counts, (list, tuple)) and all(map(_is_count, target_counts)):
+        counts = list(target_counts)
     else:
-        counts = [int(count) for count in target_counts]
+        raise AllocationError(
+            "target_counts must be an integer or a list of integers, "
+            f"got {target_counts!r}"
+        )
     if len(counts) != evaluator.communication_count:
         raise AllocationError(
             f"expected {evaluator.communication_count} wavelength counts, got {len(counts)}"

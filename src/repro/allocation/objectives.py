@@ -225,7 +225,7 @@ class AllocationEvaluator:
     architecture:
         Any :class:`~repro.topology.base.OnocTopology` (ring, multi-ring 3D,
         crossbar ...); the evaluator reads every topology-dependent quantity
-        through the protocol, so the search backends work on all of them.
+        through the base class's methods, so the search backends work on all of them.
     task_graph:
         The application (its edge order defines the chromosome layout).
     mapping:

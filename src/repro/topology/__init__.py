@@ -7,8 +7,8 @@ Interface (ONI, Fig. 1b) that contains one laser per wavelength on the
 transmit side and one micro-ring resonator per wavelength on the receive side.
 
 Since the topology subsystem became pluggable, that ring is one of several
-interchangeable implementations of the :class:`~repro.topology.base.OnocTopology`
-protocol, addressed by name through :data:`~repro.topology.registry.TOPOLOGIES`:
+interchangeable subclasses of the :class:`~repro.topology.base.OnocTopology`
+base class, addressed by name through :data:`~repro.topology.registry.TOPOLOGIES`:
 
 * ``ring``       — the paper's single serpentine ring
   (:class:`~repro.topology.architecture.RingOnocArchitecture`);
@@ -23,15 +23,22 @@ Module map:
   serpentine visiting order of the ring.
 * :mod:`~repro.topology.oni`          — the Optical Network Interface.
 * :mod:`~repro.topology.ring`         — the unidirectional ring waveguide and
-  source-to-destination path computation.
+  source-to-destination path computation (one per layer on the 3D stack).
+* :mod:`~repro.topology.base`         — the :class:`OnocTopology` base class:
+  the ``grid`` build, the path cache and everything derived from a path
+  (crossed ONIs and rings, ring-routed crosstalk reach, segment usage).
 * :mod:`~repro.topology.architecture` — the aggregate
   :class:`~repro.topology.architecture.RingOnocArchitecture`, whose ring
   segments are the paper's Architecture Characterization Graph (ACG).
-* :mod:`~repro.topology.base`         — the :class:`OnocTopology` protocol.
 * :mod:`~repro.topology.multi_ring`   — the 3D multi-ring stack.
 * :mod:`~repro.topology.crossbar`     — the optical crossbar.
-* :mod:`~repro.topology.registry`     — the :data:`TOPOLOGIES` registry and
-  :func:`build_topology`.
+* :mod:`~repro.topology.registry`     — the :data:`TOPOLOGIES` registry of
+  topology classes, :func:`build_topology` and :func:`topology_description`.
+
+A topology subclasses :class:`OnocTopology` with its routing
+(``_build_path``) and ``describe``; the three above override only where they
+differ from a ring-routed path (the stack's core count and coupler loss, the
+crossbar's crossed ONIs, crossing loss and crosstalk reach).
 """
 
 from .layout import TileLayout, TileCoordinate

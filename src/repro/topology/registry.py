@@ -3,34 +3,39 @@
 Scenarios (and the CLI) refer to topologies exclusively by their registered
 name — ``"ring"``, ``"multi_ring"``, ``"crossbar"`` — which keeps scenario
 documents serialisable and lets downstream projects plug their own
-architectures in::
+architectures in.  A topology is an
+:class:`~repro.topology.base.OnocTopology` subclass, registered by name; the
+first line of its docstring is its :func:`topology_description`::
 
-    @TOPOLOGIES.register("my_mesh")
-    def _my_mesh(rows, columns, wavelength_count, configuration=None, **options):
-        return MyMeshArchitecture(...)
+    @TOPOLOGIES.register("my_bus")
+    class MyBusArchitecture(OnocTopology):
+        '''Linear optical bus (cores in id order).'''
 
-Factories take the scenario's grid shape, wavelength count and configuration,
-plus any topology-specific keyword options (``layers``, ``crossing_loss_db``
-...); :func:`build_topology` resolves a name + options pair into a live
-:class:`~repro.topology.base.OnocTopology`.
+        def _build_path(self, source_core, destination_core):
+            ...
+
+        def describe(self):
+            ...
+
+:func:`build_topology` resolves a name + options pair into a live topology
+through the class's :meth:`~repro.topology.base.OnocTopology.grid`, which
+takes the scenario's grid shape, wavelength count and configuration, plus any
+topology-specific keyword options (``layers``, ``crossing_loss_db`` ...).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional, Type
 
 from ..config import OnocConfiguration
 from ..errors import TopologyError
 from ..registry import Registry
-from .architecture import RingOnocArchitecture
 from .base import OnocTopology
-from .crossbar import CrossbarOnocArchitecture
-from .multi_ring import MultiRingOnocArchitecture
 
 __all__ = ["TOPOLOGIES", "build_topology", "topology_description"]
 
-#: Topology factories by name (``ring``, ``multi_ring``, ``crossbar`` ...).
-TOPOLOGIES: Registry[Callable[..., OnocTopology]] = Registry("topology")
+#: Topology classes by name (``ring``, ``multi_ring``, ``crossbar`` ...).
+TOPOLOGIES: Registry[Type[OnocTopology]] = Registry("topology")
 
 
 def build_topology(
@@ -48,9 +53,9 @@ def build_topology(
     ``crossing_loss_db`` ...); unknown names and mistyped values both raise a
     clean :class:`~repro.errors.TopologyError` naming the offending topology.
     """
-    factory = TOPOLOGIES.get(name)
+    topology_class = TOPOLOGIES.get(name)
     try:
-        return factory(
+        return topology_class.grid(
             rows,
             columns,
             wavelength_count=wavelength_count,
@@ -62,61 +67,6 @@ def build_topology(
 
 
 def topology_description(name: str) -> str:
-    """The first docstring line of a registered topology factory."""
-    factory = TOPOLOGIES.get(name)
-    doc = (factory.__doc__ or "").strip()
+    """The first docstring line of a registered topology class."""
+    doc = (TOPOLOGIES.get(name).__doc__ or "").strip()
     return doc.splitlines()[0] if doc else ""
-
-
-@TOPOLOGIES.register("ring")
-def _ring_topology(
-    rows: int,
-    columns: int,
-    wavelength_count: int,
-    configuration: Optional[OnocConfiguration] = None,
-    tile_pitch_cm: Optional[float] = None,
-) -> RingOnocArchitecture:
-    """Single serpentine ring of the source paper (the default)."""
-    return RingOnocArchitecture.grid(
-        rows,
-        columns,
-        wavelength_count=wavelength_count,
-        configuration=configuration,
-        tile_pitch_cm=tile_pitch_cm,
-    )
-
-
-@TOPOLOGIES.register("multi_ring")
-def _multi_ring_topology(
-    rows: int,
-    columns: int,
-    wavelength_count: int,
-    configuration: Optional[OnocConfiguration] = None,
-    **options: Any,
-) -> MultiRingOnocArchitecture:
-    """Stacked 3D rings (one serpentine ring per layer, vertical coupler pillar)."""
-    return MultiRingOnocArchitecture.grid(
-        rows,
-        columns,
-        wavelength_count=wavelength_count,
-        configuration=configuration,
-        **options,
-    )
-
-
-@TOPOLOGIES.register("crossbar")
-def _crossbar_topology(
-    rows: int,
-    columns: int,
-    wavelength_count: int,
-    configuration: Optional[OnocConfiguration] = None,
-    **options: Any,
-) -> CrossbarOnocArchitecture:
-    """Li-style optical crossbar (dedicated row/column waveguides, passive crossings)."""
-    return CrossbarOnocArchitecture.grid(
-        rows,
-        columns,
-        wavelength_count=wavelength_count,
-        configuration=configuration,
-        **options,
-    )

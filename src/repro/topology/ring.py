@@ -16,11 +16,11 @@ must not use the same wavelength at the same time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..devices.waveguide import WaveguidePath, WaveguideSegment
 from ..errors import TopologyError
-from .base import generic_segment_usage
+from .base import OnocTopology
 from .layout import TileLayout
 
 __all__ = ["RingWaveguide"]
@@ -34,29 +34,30 @@ class RingWaveguide:
     ----------
     layout:
         Physical layout providing the visiting order and per-segment geometry.
+    oni_offset:
+        Identifier of the ONI at serpentine position 0; the ring of layer
+        ``l`` of a 3D stack numbers its ONIs from ``l * layout.core_count``.
     """
 
     layout: TileLayout
+    oni_offset: int = 0
     _segments: Tuple[WaveguideSegment, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if not self._segments:
-            object.__setattr__(self, "_segments", self._build_segments(self.layout))
+            object.__setattr__(self, "_segments", self._build_segments())
 
-    @staticmethod
-    def _build_segments(layout: TileLayout) -> Tuple[WaveguideSegment, ...]:
-        segments = []
-        for source in layout.ring_order():
-            destination = layout.ring_successor(source)
-            segments.append(
-                WaveguideSegment(
-                    source_oni=source,
-                    destination_oni=destination,
-                    length_cm=layout.segment_length_cm(source),
-                    bend_count=layout.segment_bend_count(source),
-                )
+    def _build_segments(self) -> Tuple[WaveguideSegment, ...]:
+        layout, offset = self.layout, self.oni_offset
+        return tuple(
+            WaveguideSegment(
+                source_oni=offset + position,
+                destination_oni=offset + layout.ring_successor(position),
+                length_cm=layout.segment_length_cm(position),
+                bend_count=layout.segment_bend_count(position),
             )
-        return tuple(segments)
+            for position in layout.ring_order()
+        )
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -78,7 +79,7 @@ class RingWaveguide:
     def segment_after(self, oni_id: int) -> WaveguideSegment:
         """The segment leaving ``oni_id`` in the propagation direction."""
         self._check_oni(oni_id)
-        return self._segments[oni_id]
+        return self._segments[oni_id - self.oni_offset]
 
     def path(self, source_oni: int, destination_oni: int) -> WaveguidePath:
         """Waveguide path from ``source_oni`` to ``destination_oni``.
@@ -103,28 +104,18 @@ class RingWaveguide:
         """Number of ring segments between two ONIs in the propagation direction."""
         self._check_oni(source_oni)
         self._check_oni(destination_oni)
-        return self.layout.ring_distance(source_oni, destination_oni)
+        return (destination_oni - source_oni) % self.oni_count
 
     def crossed_onis(self, source_oni: int, destination_oni: int) -> List[int]:
         """ONIs strictly between source and destination along the path."""
         return self.path(source_oni, destination_oni).intermediate_onis
 
-    def segment_usage(
-        self, endpoints: Sequence[Tuple[int, int]]
-    ) -> Dict[Tuple[int, int], List[int]]:
-        """Map each directed segment to the indices of the paths using it.
-
-        ``endpoints`` is a sequence of (source, destination) ONI pairs; the
-        result maps a segment key to the list of indices into ``endpoints``
-        whose path traverses that segment.  This is the core primitive of the
-        wavelength-conflict detection used by the allocator; the actual walk
-        lives in :func:`~repro.topology.base.generic_segment_usage`, shared
-        with every other topology.
-        """
-        return generic_segment_usage(self, endpoints)
+    #: Map each directed segment to the indices of the paths using it: the
+    #: same walk over :meth:`path` as every topology's conflict analysis.
+    segment_usage = OnocTopology.segment_usage
 
     def _check_oni(self, oni_id: int) -> None:
-        if not 0 <= oni_id < self.oni_count:
+        if not 0 <= oni_id - self.oni_offset < self.oni_count:
             raise TopologyError(f"ONI {oni_id} outside ring with {self.oni_count} ONIs")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

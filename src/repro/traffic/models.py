@@ -277,21 +277,24 @@ class TraceTrafficModel:
             raise TrafficError("trace events must be a list of event objects")
         if not events:
             raise TrafficError("trace traffic needs at least one event")
-        ordered = sorted(
-            enumerate(events),
-            key=lambda item: (float(item[1]["arrival"]), item[0]),
-        )
         self.path = path
-        self._requests = [
-            ConnectionRequest(
-                index=position,
-                source=int(event["source"]),
-                destination=int(event["destination"]),
-                arrival=float(event["arrival"]),
-                holding=float(event["holding"]),
+        try:
+            ordered = sorted(
+                enumerate(events),
+                key=lambda item: (float(item[1]["arrival"]), item[0]),
             )
-            for position, (_, event) in enumerate(ordered)
-        ]
+            self._requests = [
+                ConnectionRequest(
+                    index=position,
+                    source=int(event["source"]),
+                    destination=int(event["destination"]),
+                    arrival=float(event["arrival"]),
+                    holding=float(event["holding"]),
+                )
+                for position, (_, event) in enumerate(ordered)
+            ]
+        except KeyError as missing:
+            raise ValueError(f"a trace event has no {missing} key") from None
 
     def requests(self, core_ids: Sequence[int]) -> List[ConnectionRequest]:
         _check_cores(self._requests, core_ids)
@@ -320,6 +323,6 @@ def build_traffic_model(
         merged["seed"] = int(seed)
     try:
         model = factory(**merged)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise TrafficError(f"invalid options for traffic model {name!r}: {exc}") from None
     return model

@@ -109,6 +109,24 @@ UNRUNNABLE = {
         lambda: smoke_scenario(optimizer="random", optimizer_options={"target_counts": 8}),
         "AllocationError: random allocation found no valid draw",
     ),
+    "target_counts_string": (
+        lambda: smoke_scenario(optimizer="first_fit", optimizer_options={"target_counts": "x"}),
+        "AllocationError: target_counts must be an integer or a list of integers",
+    ),
+    "target_counts_float": (
+        lambda: smoke_scenario(optimizer="most_used", optimizer_options={"target_counts": 2.5}),
+        "AllocationError: target_counts must be an integer or a list of integers",
+    ),
+    "trace_event_missing_key": (
+        lambda: traffic_scenario(
+            model="trace", model_options={"events": [{"source": 0, "destination": 1}]}
+        ),
+        "TrafficError: invalid options for traffic model 'trace': a trace event has no",
+    ),
+    "trace_file_missing": (
+        lambda: traffic_scenario(model="trace", model_options={"path": "missing-trace.json"}),
+        "TrafficError: invalid options for traffic model 'trace'",
+    ),
 }
 
 
@@ -958,7 +976,15 @@ class TestJobsCli:
 
     @pytest.mark.parametrize(
         "case",
-        ["non_integer_model_seed", "random_infeasible_target", "sweep_not_a_list", "sweep_of_strings"],
+        [
+            "non_integer_model_seed",
+            "random_infeasible_target",
+            "sweep_not_a_list",
+            "sweep_of_strings",
+            "target_counts_string",
+            "trace_event_missing_key",
+            "trace_file_missing",
+        ],
     )
     def test_run_rejects_an_unrunnable_document_cleanly(self, tmp_path, capsys, case):
         from repro.cli import main

@@ -414,6 +414,26 @@ class TestSimulationReplayAcrossTopologies:
         assert summary.verification_passed
         assert summary.valid_solution_count > 0
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES.names())
+    def test_paper_workload_front_replays_at_comparison_scale(self, topology):
+        """Every registered topology at 4x4 and NW 8, the paper workload
+        spread with stride 5, NSGA-II at 64x16 on (time, energy): the front
+        is non-empty and replays with no conflict and no divergence."""
+        scenario = Scenario(
+            name=f"compare-{topology}",
+            topology=topology,
+            topology_options={"layers": 2} if topology == "multi_ring" else {},
+            mapping="round_robin",
+            mapping_options={"stride": 5},
+            objectives=("time", "energy"),
+            genetic=GeneticParameters(population_size=64, generations=16, seed=2017),
+            verification=VerificationSettings(simulate=True),
+        )
+        summary = execute_scenario(scenario).summary()
+        assert summary.pareto_size >= 1
+        assert summary.verified and summary.verification_passed
+        assert (summary.sim_conflicts, summary.sim_divergences) == (0, 0)
+
 
 class TestScenarioEvaluatorIntegration:
     def test_build_scenario_evaluator_uses_the_registry(self):

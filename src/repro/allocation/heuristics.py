@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..config import is_count
 from ..errors import AllocationError
 from .batch import BatchEvaluation
 from .objectives import AllocationEvaluator, AllocationSolution
@@ -60,17 +61,12 @@ def preference(policy: str, usage: Sequence[int]) -> Callable[[int], Tuple[int, 
     return lambda channel: (weight * usage[channel], channel)
 
 
-def _is_count(value: object) -> bool:
-    """An ``int`` and not a ``bool``: the rule ``sweep`` entries follow too."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _normalise_counts(
     evaluator: AllocationEvaluator, target_counts: Sequence[int] | int
 ) -> List[int]:
-    if _is_count(target_counts):
+    if is_count(target_counts):
         counts = [target_counts] * evaluator.communication_count
-    elif isinstance(target_counts, (list, tuple)) and all(map(_is_count, target_counts)):
+    elif isinstance(target_counts, (list, tuple)) and all(map(is_count, target_counts)):
         counts = list(target_counts)
     else:
         raise AllocationError(

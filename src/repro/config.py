@@ -30,12 +30,22 @@ __all__ = [
     "EnergyParameters",
     "GeneticParameters",
     "OnocConfiguration",
+    "is_count",
 ]
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
+
+
+def is_count(value: object) -> bool:
+    """An ``int`` and not a ``bool``: the rule every integer option follows.
+
+    ``int()`` would turn ``2.5`` into 2 and ``true`` into 1, so a typo would
+    run silently under a fingerprint of its own.
+    """
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

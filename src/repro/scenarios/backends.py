@@ -47,7 +47,7 @@ from ..application.workloads import (
     pipeline_task_graph,
     random_task_graph,
 )
-from ..config import GeneticParameters
+from ..config import GeneticParameters, is_count
 from ..errors import AllocationError, ScenarioError
 from ..topology.base import OnocTopology
 from .registry import Registry
@@ -279,7 +279,7 @@ class HeuristicBackend:
             )
         if sweep is not None and not (
             isinstance(sweep, (list, tuple))
-            and all(isinstance(count, int) and not isinstance(count, bool) for count in sweep)
+            and all(map(is_count, sweep))
         ):
             raise ScenarioError(
                 f"optimizer {self.name!r}: 'sweep' must be a list of integers, got {sweep!r}"

@@ -4,6 +4,9 @@
 :class:`~repro.scenarios.scenario.Scenario` into a live run: it resolves the
 workload, mapping and optimizer names through the registries, builds the
 architecture and evaluator, executes the backend and wraps the outcome.
+The evaluator of a static run and the topology of a dynamic one come from a
+small per-process cache, keyed by exactly what their builders read, so a
+study or a queue round that repeats one setup builds it once.
 
 :class:`Study` batches many scenarios: it deduplicates identical scenarios by
 fingerprint, caches their results in a result store (an in-process
@@ -23,7 +26,8 @@ test-suite asserts this.
 
 from __future__ import annotations
 
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.store imports this module)
@@ -50,6 +55,7 @@ from ..allocation.allocator import ExplorationResult
 from ..allocation.objectives import AllocationEvaluator
 from ..analysis.csvout import write_csv
 from ..analysis.plotting import format_table
+from ..config import OnocConfiguration
 from ..errors import ScenarioError
 from ..simulation.verify import SimulationVerifier, VerificationReport
 from ..telemetry import (
@@ -59,8 +65,17 @@ from ..telemetry import (
     set_registry,
     span,
 )
+from ..topology.base import OnocTopology
 from ..topology.registry import build_topology
-from .backends import OptimizerParameters, build_mapping, build_workload, create_optimizer
+from .backends import (
+    MAPPING_STRATEGIES,
+    WORKLOADS,
+    OptimizerParameters,
+    _fold_seed,
+    build_mapping,
+    build_workload,
+    create_optimizer,
+)
 from .scenario import Scenario
 
 __all__ = [
@@ -81,6 +96,28 @@ STUDY_SCHEMA = "repro.study/1"
 #: Progress callback signature: ``(completed_count, total_count, latest_result)``.
 ProgressCallback = Callable[[int, int, "ScenarioResult"], None]
 
+#: Scenario setups one process keeps, least recently used out first.  A queue
+#: round of the benchmark mix needs four: three evaluators and one topology.
+SETUP_CACHE_SIZE = 8
+
+SetupT = TypeVar("SetupT")
+
+_setups: "OrderedDict[str, Any]" = OrderedDict()
+_setups_lock = threading.Lock()
+
+
+def _scenario_topology(
+    scenario: Scenario, configuration: Optional[OnocConfiguration] = None
+) -> OnocTopology:
+    return build_topology(
+        scenario.topology,
+        scenario.rows,
+        scenario.columns,
+        wavelength_count=scenario.wavelength_count,
+        configuration=configuration or scenario.onoc_configuration(),
+        options=scenario.topology_options,
+    )
+
 
 def build_scenario_evaluator(scenario: Scenario) -> AllocationEvaluator:
     """Resolve a scenario into a ready-to-search allocation evaluator.
@@ -88,16 +125,11 @@ def build_scenario_evaluator(scenario: Scenario) -> AllocationEvaluator:
     The architecture comes from the :data:`~repro.topology.registry.TOPOLOGIES`
     registry, so the same scenario document explores the ring, the 3D
     multi-ring stack or the crossbar purely through its ``topology`` field.
+    Every call builds a fresh evaluator; :func:`execute_scenario` reuses one
+    per setup through the process's setup cache.
     """
     configuration = scenario.onoc_configuration()
-    architecture = build_topology(
-        scenario.topology,
-        scenario.rows,
-        scenario.columns,
-        wavelength_count=scenario.wavelength_count,
-        configuration=configuration,
-        options=scenario.topology_options,
-    )
+    architecture = _scenario_topology(scenario, configuration)
     task_graph = build_workload(
         scenario.workload, scenario.workload_options, seed=scenario.effective_seed
     )
@@ -115,6 +147,74 @@ def build_scenario_evaluator(scenario: Scenario) -> AllocationEvaluator:
         configuration=configuration,
         crosstalk_scope=scenario.scope(),
     )
+
+
+def _setup_key(scenario: Scenario, kind: str) -> Optional[str]:
+    """Canonical JSON of what the ``kind`` setup's builder reads from ``scenario``.
+
+    Both kinds read the topology, the grid and the photonic/timing/energy
+    ``overrides``; an evaluator also reads the workload, the mapping and the
+    crosstalk scope.  The GA block never enters, although
+    :meth:`Scenario.onoc_configuration` carries one: no builder reads it.  The
+    effective seed enters only inside the workload or mapping options that
+    ``_fold_seed`` hands it to.  ``None`` (no caching) when a workload or
+    mapping name does not resolve, so the builder raises its own error.
+    """
+    document: Dict[str, Any] = {
+        "kind": kind,
+        "topology": [scenario.topology, scenario.topology_options],
+        "grid": [scenario.rows, scenario.columns, scenario.wavelength_count],
+        "overrides": scenario.overrides,
+    }
+    if kind == "evaluator":
+        if scenario.workload not in WORKLOADS or scenario.mapping not in MAPPING_STRATEGIES:
+            return None
+        seed = scenario.effective_seed
+        document["workload"] = [
+            scenario.workload,
+            _fold_seed(WORKLOADS.get(scenario.workload), scenario.workload_options, seed),
+        ]
+        document["mapping"] = [
+            scenario.mapping,
+            _fold_seed(
+                MAPPING_STRATEGIES.get(scenario.mapping), scenario.mapping_options, seed
+            ),
+        ]
+        document["crosstalk_scope"] = scenario.crosstalk_scope
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _scenario_setup(
+    scenario: Scenario,
+    kind: str,
+    build: Callable[[Scenario], SetupT],
+    fingerprint: str,
+) -> SetupT:
+    """The ``kind`` setup of ``scenario`` from the process's cache, built on a miss.
+
+    A build that raises leaves nothing behind.  Cached setups are shared by
+    every later run with the same key, so nothing that runs on them may
+    change their state (the evaluator's arrays are read-only; nothing in
+    the library switches a cached topology's receivers on).
+    """
+    key = _setup_key(scenario, kind)
+    setup: Optional[SetupT] = None
+    if key is not None:
+        with _setups_lock:
+            setup = _setups.get(key)
+            if setup is not None:
+                _setups.move_to_end(key)
+    cached = setup is not None
+    with span("scenario.setup", fingerprint=fingerprint, kind=kind, cached=cached):
+        if setup is None:
+            setup = build(scenario)
+            if key is not None:
+                with _setups_lock:
+                    _setups[key] = setup
+                    while len(_setups) > SETUP_CACHE_SIZE:
+                        _setups.popitem(last=False)
+    get_registry().counter("repro_scenario_setups_total", kind=kind, cached=cached).inc()
+    return setup
 
 
 def execute_scenario(
@@ -139,12 +239,13 @@ def execute_scenario(
     :class:`~repro.traffic.simulator.DynamicTrafficSimulator` and reports a
     blocking probability — same outcome type, same store semantics.
     """
+    fingerprint = scenario.fingerprint()
     if scenario.traffic is not None:
-        outcome = _execute_dynamic_scenario(scenario)
+        outcome = _execute_dynamic_scenario(scenario, fingerprint)
         if store is not None:
             store.put(outcome.summary())
         return outcome
-    evaluator = build_scenario_evaluator(scenario)
+    evaluator = _scenario_setup(scenario, "evaluator", build_scenario_evaluator, fingerprint)
     backend = create_optimizer(scenario.optimizer)
     parameters = OptimizerParameters(
         genetic=scenario.genetic_parameters(),
@@ -153,7 +254,7 @@ def execute_scenario(
     )
     with span(
         "scenario.execute",
-        fingerprint=scenario.fingerprint(),
+        fingerprint=fingerprint,
         optimizer=scenario.optimizer,
         workload=scenario.workload,
         topology=scenario.topology,
@@ -180,7 +281,7 @@ def execute_scenario(
     return outcome
 
 
-def _execute_dynamic_scenario(scenario: Scenario) -> "ScenarioOutcome":
+def _execute_dynamic_scenario(scenario: Scenario, fingerprint: str) -> "ScenarioOutcome":
     """Run the dynamic-traffic path of :func:`execute_scenario`.
 
     The traffic model's RNG derives from :attr:`Scenario.effective_seed` and
@@ -196,14 +297,7 @@ def _execute_dynamic_scenario(scenario: Scenario) -> "ScenarioOutcome":
     settings = scenario.traffic
     if settings is None:  # pragma: no cover - guarded by the caller
         raise ScenarioError("dynamic execution needs a scenario with a traffic block")
-    topology = build_topology(
-        scenario.topology,
-        scenario.rows,
-        scenario.columns,
-        wavelength_count=scenario.wavelength_count,
-        configuration=scenario.onoc_configuration(),
-        options=scenario.topology_options,
-    )
+    topology = _scenario_setup(scenario, "topology", _scenario_topology, fingerprint)
     model = build_traffic_model(
         settings.model, settings.model_options, seed=scenario.effective_seed
     )
@@ -221,7 +315,7 @@ def _execute_dynamic_scenario(scenario: Scenario) -> "ScenarioOutcome":
     )
     with span(
         "scenario.dynamic",
-        fingerprint=scenario.fingerprint(),
+        fingerprint=fingerprint,
         strategy=settings.strategy,
         topology=scenario.topology,
     ), Stopwatch() as watch:

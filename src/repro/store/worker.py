@@ -29,7 +29,17 @@ import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..errors import AllocationError, JobError, ReproError, ScenarioError, TrafficError
+from ..errors import (
+    AllocationError,
+    ConfigurationError,
+    JobError,
+    MappingError,
+    ReproError,
+    ScenarioError,
+    TaskGraphError,
+    TopologyError,
+    TrafficError,
+)
 from ..telemetry import MetricsRegistry, get_registry, merge_snapshots, set_registry, span
 from .jobs import DEFAULT_LEASE_SECONDS, Job, backoff_seconds
 
@@ -38,6 +48,19 @@ if TYPE_CHECKING:
     from .sqlite import ResultStore
 
 __all__ = ["Worker", "WorkerPool", "WorkerStats"]
+
+#: Errors that say the document itself cannot run (unknown registry name,
+#: invalid field or option, a workload that does not fit its grid, an
+#: infeasible allocation target ...): retrying such a job cannot help.
+_UNRUNNABLE_ERRORS = (
+    AllocationError,
+    ConfigurationError,
+    MappingError,
+    ScenarioError,
+    TaskGraphError,
+    TopologyError,
+    TrafficError,
+)
 
 
 def default_worker_id() -> str:
@@ -187,10 +210,7 @@ class Worker:
             beater.join()
             self._release_quietly(job)
             raise
-        except (ScenarioError, AllocationError, TrafficError) as error:
-            # The document itself cannot run (unknown registry name, invalid
-            # field, infeasible allocation target, bad traffic options...):
-            # retrying cannot help.
+        except _UNRUNNABLE_ERRORS as error:
             return self._record_failure(job, error, retryable=False)
         except (ReproError, Exception) as error:  # noqa: BLE001 - the queue is the error boundary
             return self._record_failure(job, error, retryable=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import PhotonicParameters
+from ..config import PhotonicParameters, is_count
 from ..devices.waveguide import WaveguidePath, WaveguideSegment
 from ..errors import TopologyError
 from .base import OnocTopology
@@ -85,9 +85,12 @@ class MultiRingOnocArchitecture(OnocTopology):
     ) -> Dict[str, Any]:
         """A ``layers``-deep stack joined by a coupler pillar at serpentine position ``pillar``."""
         del layout
+        for option, value in (("layers", layers), ("pillar", pillar)):
+            if not is_count(value):
+                raise TypeError(f"{option} must be an integer, got {value!r}")
         return {
-            "layer_count": int(layers),
-            "pillar": int(pillar),
+            "layer_count": layers,
+            "pillar": pillar,
             "layer_pitch_cm": float(layer_pitch_cm),
             "coupler_loss_db": float(coupler_loss_db),
         }

@@ -13,10 +13,10 @@ of the classic RWA literature.
   each name of the :data:`ONLINE_ALLOCATORS` registry (``first_fit``,
   ``least_used``, ``most_used``, ``random``); the ranked policies share
   :func:`~repro.allocation.heuristics.preference` with the static baselines.
-* :mod:`~repro.traffic.simulator`  — :class:`DynamicTrafficSimulator` on the
-  shared discrete-event engine, producing a :class:`BlockingReport` with a
-  Wilson interval, warm-up exclusion and link utilisation; plus the
-  :func:`erlang_b` analytical oracle.
+* :mod:`~repro.traffic.simulator`  — :class:`DynamicTrafficSimulator`, one
+  pass over the presorted arrivals and departures, producing a
+  :class:`BlockingReport` with a Wilson interval, warm-up exclusion and link
+  utilisation; plus the :func:`erlang_b` analytical oracle.
 * :mod:`~repro.traffic.sweep`      — load-vs-blocking sweeps across
   strategies, wavelength counts and topologies.
 """

@@ -44,6 +44,7 @@ from typing import (
 
 import numpy as np
 
+from ..config import is_count
 from ..errors import TrafficError
 from ..registry import Registry
 
@@ -194,11 +195,13 @@ class PoissonTrafficModel:
             raise TrafficError("offered_load_erlangs must be positive")
         if mean_holding <= 0.0:
             raise TrafficError("mean_holding must be positive")
+        if not is_count(request_count):
+            raise TypeError(f"request_count must be an integer, got {request_count!r}")
         if request_count <= 0:
             raise TrafficError("request_count must be positive")
         self.offered_load_erlangs = float(offered_load_erlangs)
         self.mean_holding = float(mean_holding)
-        self.request_count = int(request_count)
+        self.request_count = request_count
         self.pairs = _validate_pairs(pairs)
         self.seed = int(seed)
 
@@ -220,7 +223,7 @@ class PoissonTrafficModel:
         holdings = np.maximum(holdings, np.finfo(float).tiny)
         if self.pairs is not None:
             choice = rng.integers(0, len(self.pairs), size=count)
-            endpoints = [self.pairs[int(i)] for i in choice]
+            endpoints = [self.pairs[i] for i in choice.tolist()]
         else:
             src_idx = rng.integers(0, len(cores), size=count)
             # Draw the destination over the remaining cores and shift past the
@@ -228,17 +231,13 @@ class PoissonTrafficModel:
             dst_idx = rng.integers(0, len(cores) - 1, size=count)
             dst_idx = np.where(dst_idx >= src_idx, dst_idx + 1, dst_idx)
             endpoints = [
-                (cores[int(s)], cores[int(d)]) for s, d in zip(src_idx, dst_idx)
+                (cores[s], cores[d]) for s, d in zip(src_idx.tolist(), dst_idx.tolist())
             ]
         stream = [
-            ConnectionRequest(
-                index=i,
-                source=endpoints[i][0],
-                destination=endpoints[i][1],
-                arrival=float(arrivals[i]),
-                holding=float(holdings[i]),
+            ConnectionRequest(index, source, destination, arrival, holding)
+            for index, ((source, destination), arrival, holding) in enumerate(
+                zip(endpoints, arrivals.tolist(), holdings.tolist())
             )
-            for i in range(count)
         ]
         _check_cores(stream, cores)
         return stream

@@ -1,39 +1,51 @@
-"""Event-driven dynamic-traffic simulation measured by blocking probability.
+"""Dynamic-traffic simulation measured by blocking probability.
 
 :class:`DynamicTrafficSimulator` replays a traffic model's connection stream
-through the generic discrete-event engine of :mod:`repro.simulation`: each
-request arrives, asks its online allocator for a wavelength that is free on
-*every* directed segment of the topology's source→destination path (the
-wavelength-continuity constraint), holds it for the request's holding time,
-and departs.  A request whose free set is empty is **blocked** — the
-fraction of blocked requests, with a Wilson score confidence interval and a
-warm-up exclusion window, is the figure of merit of the whole subsystem.
+against a topology: each request arrives, asks its online allocator for a
+wavelength that is free on *every* directed segment of the topology's
+source→destination path (the wavelength-continuity constraint), holds it for
+the request's holding time, and departs.  A request whose free set is empty
+is **blocked** — the fraction of blocked requests, with a Wilson score
+confidence interval and a warm-up exclusion window, is the figure of merit of
+the whole subsystem.
 
-Event ordering matters at equal timestamps: a departure that frees capacity
-at time *t* must be processed before an arrival at the same *t*, or the
-arrival would be blocked by a connection that is already gone.  The simulator
-pins this with the shared :data:`~repro.simulation.events.PRIORITY_RELEASE` /
-:data:`~repro.simulation.events.PRIORITY_ACQUIRE` convention.
+The order in which events happen does not depend on which wavelengths the
+allocator picks, so the simulator sorts all of them once and applies them in
+one pass instead of running a discrete-event queue.  The order is:
 
-Per-segment occupancy is tracked as wavelength bitmasks, so the free-set
-computation for a path is a handful of integer ORs regardless of the
-wavelength count — the events/s floor in ``tests/test_speed_gates.py``
-holds it there.
+* by time;
+* at equal times, departures before arrivals — a departure that frees
+  capacity at time *t* must come before an arrival at the same *t*, the
+  :data:`~repro.simulation.events.PRIORITY_RELEASE` /
+  :data:`~repro.simulation.events.PRIORITY_ACQUIRE` convention of the
+  shared discrete-event engine;
+* then by stream position: arrivals at one time are admitted in stream
+  order, and departures at one time commute, so their order among
+  themselves changes nothing;
+* a departure whose time equals its own arrival's (a holding time too small
+  to move the float clock) comes right after that arrival, the one place it
+  can be scheduled from.
+
+A blocked request's departure is skipped, so it counts neither as an event
+nor towards the run's duration.  Per-segment occupancy is tracked as
+wavelength bitmasks over integer segment ids, so the free-set computation
+for a path is a handful of integer ORs regardless of the wavelength count —
+the events/s floor in ``tests/test_speed_gates.py`` holds it there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..errors import TrafficError
-from ..simulation.engine import DiscreteEventEngine
-from ..simulation.events import PRIORITY_ACQUIRE, PRIORITY_RELEASE
 from ..telemetry import get_registry, timed_span
 from ..topology.base import OnocTopology
 from .allocators import OnlineAllocator
-from .models import ConnectionRequest, TrafficModel
+from .models import TrafficModel
 
 __all__ = [
     "BlockingReport",
@@ -193,121 +205,144 @@ class DynamicTrafficSimulator:
         self._allocator = allocator
         self._warmup_fraction = float(warmup_fraction)
         self._topology_name = topology_name or type(topology).__name__
-        self._path_segments: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------ paths
-    def _segments(self, source: int, destination: int) -> List[Tuple[int, int]]:
-        key = (source, destination)
-        cached = self._path_segments.get(key)
-        if cached is None:
-            cached = self._topology.path(source, destination).segment_keys()
-            self._path_segments[key] = cached
-        return cached
+    def _network_routes(self) -> Tuple[int, Dict[Tuple[int, int], Tuple[int, ...]]]:
+        """The network's segment count and every core pair's path as segment ids.
 
-    def _network_segment_count(self) -> int:
-        segments = set()
-        for source in self._topology.core_ids():
-            for destination in self._topology.core_ids():
+        Ids number the directed segments in first-use order over the core
+        pairs; the count covers every segment some pair's path uses.
+        """
+        topology = self._topology
+        ids: Dict[Tuple[int, int], int] = {}
+        routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        cores = topology.core_ids()
+        for source in cores:
+            for destination in cores:
                 if source != destination:
-                    segments.update(self._segments(source, destination))
-        return len(segments)
+                    routes[(source, destination)] = tuple(
+                        ids.setdefault(key, len(ids))
+                        for key in topology.path(source, destination).segment_keys()
+                    )
+        return len(ids), routes
 
     # -------------------------------------------------------------------- run
     def run(self) -> BlockingReport:
         """Simulate the full stream and return its :class:`BlockingReport`."""
-        topology = self._topology
-        requests = self._model.requests(list(topology.core_ids()))
-        wavelength_count = topology.wavelength_count
-        full_mask = (1 << wavelength_count) - 1
-        warmup_count = int(len(requests) * self._warmup_fraction)
-
-        engine = DiscreteEventEngine()
-        busy_masks: Dict[Tuple[int, int], int] = {}
-        usage = [0] * wavelength_count
-        carried_per_wavelength = [0] * wavelength_count
-        offered = 0
-        blocked = 0
-        busy_segment_time = 0.0
-
-        def depart(segments: List[Tuple[int, int]], wavelength: int) -> None:
-            clear = ~(1 << wavelength)
-            for segment in segments:
-                busy_masks[segment] &= clear
-            usage[wavelength] -= 1
-
-        def arrive(request: ConnectionRequest) -> None:
-            nonlocal offered, blocked, busy_segment_time
-            measured = request.index >= warmup_count
-            if measured:
-                offered += 1
-            segments = self._segments(request.source, request.destination)
-            combined = 0
-            for segment in segments:
-                combined |= busy_masks.get(segment, 0)
-            free_mask = ~combined & full_mask
-            if free_mask == 0:
-                if measured:
-                    blocked += 1
-                return
-            free = tuple(
-                wavelength
-                for wavelength in range(wavelength_count)
-                if free_mask >> wavelength & 1
-            )
-            wavelength = self._allocator.choose(request, free, usage)
-            if wavelength not in free:
-                raise TrafficError(
-                    f"allocator {getattr(self._allocator, 'name', '?')!r} chose "
-                    f"wavelength {wavelength}, which is not free on the path of "
-                    f"request {request.index}"
-                )
-            bit = 1 << wavelength
-            for segment in segments:
-                busy_masks[segment] = busy_masks.get(segment, 0) | bit
-            usage[wavelength] += 1
-            carried_per_wavelength[wavelength] += 1
-            busy_segment_time += request.holding * len(segments)
-            engine.schedule_at(
-                request.departure,
-                lambda: depart(segments, wavelength),
-                priority=PRIORITY_RELEASE,
-                label=f"depart {request.index}",
-            )
-
-        for request in requests:
-            engine.schedule_at(
-                request.arrival,
-                lambda request=request: arrive(request),
-                priority=PRIORITY_ACQUIRE,
-                label=f"arrive {request.index}",
-            )
-
-        strategy_name = getattr(self._allocator, "name", type(self._allocator).__name__)
+        strategy = getattr(self._allocator, "name", type(self._allocator).__name__)
         with timed_span(
             "traffic.run",
             metric="repro_traffic_run_seconds",
-            strategy=strategy_name,
+            strategy=strategy,
             topology=self._topology_name,
         ):
-            duration = engine.run(max_events=max(1_000_000, 4 * len(requests)))
+            return self._replay(strategy)
+
+    def _replay(self, strategy: str) -> BlockingReport:
+        topology = self._topology
+        requests = self._model.requests(list(topology.core_ids()))
+        count = len(requests)
+        wavelength_count = topology.wavelength_count
+        full_mask = (1 << wavelength_count) - 1
+        warmup_count = int(count * self._warmup_fraction)
+        segment_count, pair_routes = self._network_routes()
+
+        # Sort all 2N candidate events once: the arrival of the request at
+        # stream position p carries code 2p, its departure 2p + 1.  Releases
+        # go before acquires, except a departure at its own arrival's time,
+        # which sorts as an acquire right behind that arrival.
+        arrivals = np.array([request.arrival for request in requests], dtype=float)
+        departures = arrivals + np.array([request.holding for request in requests], dtype=float)
+        positions = np.arange(count)
+        times = np.concatenate((arrivals, departures))
+        codes = np.concatenate((2 * positions, 2 * positions + 1))
+        acquires = np.concatenate((np.ones(count, dtype=bool), departures == arrivals))
+        order = np.lexsort((codes, acquires, times))
+        try:
+            routes = [
+                pair_routes[(request.source, request.destination)] for request in requests
+            ]
+        except KeyError as missing:
+            raise TrafficError(
+                f"the {self._topology_name} topology has no path {missing.args[0]}"
+            ) from None
+
+        choose = self._allocator.choose
+        busy = [0] * segment_count
+        usage = [0] * wavelength_count
+        carried_per_wavelength = [0] * wavelength_count
+        held: List[Optional[int]] = [None] * count
+        free_sets: Dict[int, Tuple[int, ...]] = {}
+        offered = 0
+        blocked = 0
+        busy_segment_time = 0.0
+        applied = 0
+        last = -1
+        for step, code in enumerate(codes[order].tolist()):
+            position = code >> 1
+            if code & 1:
+                wavelength = held[position]
+                if wavelength is None:
+                    continue
+                clear = ~(1 << wavelength)
+                for segment in routes[position]:
+                    busy[segment] &= clear
+                usage[wavelength] -= 1
+            else:
+                request = requests[position]
+                route = routes[position]
+                measured = request.index >= warmup_count
+                if measured:
+                    offered += 1
+                combined = 0
+                for segment in route:
+                    combined |= busy[segment]
+                free_mask = ~combined & full_mask
+                if free_mask:
+                    free = free_sets.get(free_mask)
+                    if free is None:
+                        free = tuple(
+                            wavelength
+                            for wavelength in range(wavelength_count)
+                            if free_mask >> wavelength & 1
+                        )
+                        free_sets[free_mask] = free
+                    wavelength = choose(request, free, usage)
+                    if wavelength not in free:
+                        raise TrafficError(
+                            f"allocator {getattr(self._allocator, 'name', '?')!r} chose "
+                            f"wavelength {wavelength}, which is not free on the path of "
+                            f"request {request.index}"
+                        )
+                    bit = 1 << wavelength
+                    for segment in route:
+                        busy[segment] |= bit
+                    usage[wavelength] += 1
+                    carried_per_wavelength[wavelength] += 1
+                    busy_segment_time += request.holding * len(route)
+                    held[position] = wavelength
+                elif measured:
+                    blocked += 1
+            applied += 1
+            last = step
+        duration = float(times[order[last]]) if last >= 0 else 0.0
 
         registry = get_registry()
-        registry.counter("repro_traffic_requests_total").inc(len(requests))
+        registry.counter("repro_traffic_requests_total").inc(count)
         registry.counter("repro_traffic_offered_total").inc(offered)
         registry.counter("repro_traffic_blocked_total").inc(blocked)
-        registry.counter("repro_traffic_events_total").inc(engine.processed_events)
+        registry.counter("repro_traffic_events_total").inc(applied)
 
         probability = blocked / offered if offered else 0.0
         low, high = wilson_interval(blocked, offered)
-        segment_count = self._network_segment_count()
         capacity = segment_count * wavelength_count * duration
         utilisation = busy_segment_time / capacity if capacity > 0.0 else 0.0
         return BlockingReport(
             model=getattr(self._model, "name", type(self._model).__name__),
-            strategy=getattr(self._allocator, "name", type(self._allocator).__name__),
+            strategy=strategy,
             topology=self._topology_name,
             wavelength_count=wavelength_count,
-            total_requests=len(requests),
+            total_requests=count,
             warmup_excluded=warmup_count,
             offered=offered,
             blocked=blocked,
@@ -317,5 +352,5 @@ class DynamicTrafficSimulator:
             mean_link_utilisation=utilisation,
             duration=duration,
             per_wavelength_carried=tuple(carried_per_wavelength),
-            events_processed=engine.processed_events,
+            events_processed=applied,
         )

@@ -12,20 +12,34 @@ Nothing under ``src/`` imports this module.  It holds:
   :meth:`~repro.allocation.objectives.AllocationEvaluator.evaluate`, selecting
   through the Python kernels and growing the run-wide front by sequential
   :meth:`~repro.allocation.pareto.ParetoFront.add` calls.
+* :func:`heap_traffic_replay`, the dynamic-traffic replay through the
+  discrete-event engine's heap: every arrival is scheduled up front and each
+  admitted request schedules its own departure.  It defines the event order
+  and the report the presorted replay of
+  :class:`~repro.traffic.simulator.DynamicTrafficSimulator` must reproduce.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.allocation import Chromosome, Nsga2Optimizer, ParetoFront, nsga2
 from repro.allocation.objectives import AllocationSolution
 from repro.allocation.pareto import _INF_CLAMP, dominates
+from repro.errors import TrafficError
+from repro.simulation.engine import DiscreteEventEngine
+from repro.simulation.events import PRIORITY_ACQUIRE, PRIORITY_RELEASE
+from repro.traffic.simulator import BlockingReport, wilson_interval
 
-__all__ = ["ScalarNsga2Replay", "crowding_distance_python", "non_dominated_sort_python"]
+__all__ = [
+    "ScalarNsga2Replay",
+    "crowding_distance_python",
+    "heap_traffic_replay",
+    "non_dominated_sort_python",
+]
 
 
 def non_dominated_sort_python(objectives: Sequence[Sequence[float]]) -> List[List[int]]:
@@ -158,3 +172,108 @@ class ScalarNsga2Replay(Nsga2Optimizer):
             for row in newcomers.tolist():
                 front.add(row, archive.objectives[row, self._objective_columns])
         return archive.objectives[[archive.rows[key] for key in keys]]
+
+
+def heap_traffic_replay(
+    topology, model, allocator, warmup_fraction: float = 0.1, topology_name: str = ""
+) -> BlockingReport:
+    """The dynamic-traffic run through the discrete-event engine's heap.
+
+    Arrivals are scheduled up front at ``PRIORITY_ACQUIRE``; an admitted
+    request schedules its departure at ``PRIORITY_RELEASE`` when it arrives,
+    so the heap's (time, priority, insertion) order decides every tie.
+    """
+    requests = model.requests(list(topology.core_ids()))
+    wavelength_count = topology.wavelength_count
+    full_mask = (1 << wavelength_count) - 1
+    warmup_count = int(len(requests) * warmup_fraction)
+    segments_of: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+
+    def segments(source: int, destination: int) -> List[Tuple[int, int]]:
+        key = (source, destination)
+        if key not in segments_of:
+            segments_of[key] = topology.path(source, destination).segment_keys()
+        return segments_of[key]
+
+    engine = DiscreteEventEngine()
+    busy_masks: Dict[Tuple[int, int], int] = {}
+    usage = [0] * wavelength_count
+    carried_per_wavelength = [0] * wavelength_count
+    offered = 0
+    blocked = 0
+    busy_segment_time = 0.0
+
+    def depart(path: List[Tuple[int, int]], wavelength: int) -> None:
+        clear = ~(1 << wavelength)
+        for segment in path:
+            busy_masks[segment] &= clear
+        usage[wavelength] -= 1
+
+    def arrive(request) -> None:
+        nonlocal offered, blocked, busy_segment_time
+        measured = request.index >= warmup_count
+        if measured:
+            offered += 1
+        path = segments(request.source, request.destination)
+        combined = 0
+        for segment in path:
+            combined |= busy_masks.get(segment, 0)
+        free_mask = ~combined & full_mask
+        if free_mask == 0:
+            if measured:
+                blocked += 1
+            return
+        free = tuple(w for w in range(wavelength_count) if free_mask >> w & 1)
+        wavelength = allocator.choose(request, free, usage)
+        if wavelength not in free:
+            raise TrafficError(
+                f"allocator {getattr(allocator, 'name', '?')!r} chose wavelength "
+                f"{wavelength}, which is not free on the path of request {request.index}"
+            )
+        bit = 1 << wavelength
+        for segment in path:
+            busy_masks[segment] = busy_masks.get(segment, 0) | bit
+        usage[wavelength] += 1
+        carried_per_wavelength[wavelength] += 1
+        busy_segment_time += request.holding * len(path)
+        engine.schedule_at(
+            request.departure,
+            lambda: depart(path, wavelength),
+            priority=PRIORITY_RELEASE,
+            label=f"depart {request.index}",
+        )
+
+    for request in requests:
+        engine.schedule_at(
+            request.arrival,
+            lambda request=request: arrive(request),
+            priority=PRIORITY_ACQUIRE,
+            label=f"arrive {request.index}",
+        )
+    duration = engine.run(max_events=max(1_000_000, 4 * len(requests)))
+
+    network = set()
+    for source in topology.core_ids():
+        for destination in topology.core_ids():
+            if source != destination:
+                network.update(segments(source, destination))
+    probability = blocked / offered if offered else 0.0
+    low, high = wilson_interval(blocked, offered)
+    capacity = len(network) * wavelength_count * duration
+    return BlockingReport(
+        model=getattr(model, "name", type(model).__name__),
+        strategy=getattr(allocator, "name", type(allocator).__name__),
+        topology=topology_name or type(topology).__name__,
+        wavelength_count=wavelength_count,
+        total_requests=len(requests),
+        warmup_excluded=warmup_count,
+        offered=offered,
+        blocked=blocked,
+        blocking_probability=probability,
+        wilson_low=low,
+        wilson_high=high,
+        mean_link_utilisation=busy_segment_time / capacity if capacity > 0.0 else 0.0,
+        duration=duration,
+        per_wavelength_carried=tuple(carried_per_wavelength),
+        events_processed=engine.processed_events,
+    )

@@ -127,6 +127,50 @@ UNRUNNABLE = {
         lambda: traffic_scenario(model="trace", model_options={"path": "missing-trace.json"}),
         "TrafficError: invalid options for traffic model 'trace'",
     ),
+    "unknown_topology_option": (
+        lambda: smoke_scenario(topology_options={"bogus": 1}),
+        "TopologyError: invalid options for topology 'ring'",
+    ),
+    "zero_layers": (
+        lambda: smoke_scenario(topology="multi_ring", topology_options={"layers": 0}),
+        "TopologyError: a multi-ring stack needs at least one layer",
+    ),
+    "crossing_loss_string": (
+        lambda: smoke_scenario(topology="crossbar", topology_options={"crossing_loss_db": "abc"}),
+        "TopologyError: invalid options for topology 'crossbar'",
+    ),
+    "pipeline_beyond_the_cores": (
+        lambda: smoke_scenario(
+            workload="pipeline", workload_options={"stage_count": 40}, mapping="round_robin"
+        ),
+        "MappingError: 40 tasks cannot be mapped one-to-one onto 16 cores",
+    ),
+    "random_single_task": (
+        lambda: smoke_scenario(workload="random", workload_options={"task_count": 1}),
+        "TaskGraphError: a random task graph needs at least two tasks",
+    ),
+    "negative_quality_factor": (
+        lambda: smoke_scenario(overrides={"photonic": {"quality_factor": -5}}),
+        "ConfigurationError: quality factor must be positive",
+    ),
+    "fractional_layers": (
+        lambda: smoke_scenario(topology="multi_ring", topology_options={"layers": 2.5}),
+        "TopologyError: invalid options for topology 'multi_ring': layers must be an integer",
+    ),
+    "boolean_pillar": (
+        lambda: smoke_scenario(topology="multi_ring", topology_options={"pillar": True}),
+        "TopologyError: invalid options for topology 'multi_ring': pillar must be an integer",
+    ),
+    "fractional_request_count": (
+        lambda: traffic_scenario(model_options={"offered_load_erlangs": 4.0, "request_count": 50.5}),
+        "TrafficError: invalid options for traffic model 'poisson': "
+        "request_count must be an integer",
+    ),
+    "boolean_request_count": (
+        lambda: traffic_scenario(model_options={"offered_load_erlangs": 4.0, "request_count": True}),
+        "TrafficError: invalid options for traffic model 'poisson': "
+        "request_count must be an integer",
+    ),
 }
 
 
@@ -977,13 +1021,23 @@ class TestJobsCli:
     @pytest.mark.parametrize(
         "case",
         [
+            "boolean_pillar",
+            "boolean_request_count",
+            "crossing_loss_string",
+            "fractional_layers",
+            "fractional_request_count",
+            "negative_quality_factor",
             "non_integer_model_seed",
+            "pipeline_beyond_the_cores",
             "random_infeasible_target",
+            "random_single_task",
             "sweep_not_a_list",
             "sweep_of_strings",
             "target_counts_string",
             "trace_event_missing_key",
             "trace_file_missing",
+            "unknown_topology_option",
+            "zero_layers",
         ],
     )
     def test_run_rejects_an_unrunnable_document_cleanly(self, tmp_path, capsys, case):

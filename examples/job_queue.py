@@ -5,8 +5,8 @@ This example shows the job-queue half of the study service:
 
 1. a wavelength sweep is *enqueued* into a SQLite-backed
    :class:`~repro.store.sqlite.ResultStore` instead of executed
-   (:meth:`~repro.scenarios.study.Study.enqueue` — what
-   ``python -m repro study sweep.json --store ... --enqueue`` does),
+   (:func:`~repro.store.jobs.enqueue_submission` — what
+   ``python -m repro submit sweep.json --store ...`` does),
 2. a :class:`~repro.store.worker.Worker` claims each job under a lease,
    executes it and writes the result into the same store (what
    ``python -m repro work --store ...`` runs),
@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.scenarios import ScenarioBuilder, Study
 from repro.store import ResultStore, Worker, create_server
+from repro.store.jobs import enqueue_submission
 
 
 def build_scenarios():
@@ -51,8 +52,9 @@ def main() -> None:
         db_path = Path(tempdir) / "results.sqlite"
 
         # 1. Enqueue the study: durable jobs, no execution yet.
+        study_doc = Study(build_scenarios(), name="queued-sweep").to_dict()
         with ResultStore(db_path) as store:
-            jobs = Study(build_scenarios(), name="queued-sweep", store=store).enqueue()
+            _, jobs = enqueue_submission(store, study_doc)
             print(f"enqueued {len(jobs)} job(s); queue depth "
                   f"{store.jobs_stats()['depth']}")
 
@@ -70,7 +72,6 @@ def main() -> None:
         print(f"serving {db_path.name} at {base}")
 
         try:
-            study_doc = Study(build_scenarios(), name="queued-sweep").to_dict()
             request = urllib.request.Request(
                 f"{base}/jobs",
                 data=json.dumps(study_doc).encode("utf-8"),

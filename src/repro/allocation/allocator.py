@@ -9,7 +9,7 @@ layer reads its tables and figure series straight off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, ExperimentError
 from .nsga2 import Nsga2Result
@@ -31,38 +31,30 @@ _AXES: Dict[str, Tuple[str, Callable[[AllocationSolution], float]]] = {
 class ExplorationResult:
     """Outcome of one wavelength-allocation exploration.
 
-    The result is backend-agnostic: an NSGA-II run stores its raw
-    :class:`~repro.allocation.nsga2.Nsga2Result` in ``nsga2``, while other
-    optimizer backends (exhaustive search, the classical heuristics — see
-    :mod:`repro.scenarios.backends`) fill ``front`` and ``solutions`` directly
-    through :meth:`from_solutions`.  Either way the reporting surface
-    (``pareto_front``, ``valid_solutions``, ``front_for`` ...) behaves the same.
+    The result is backend-agnostic: every optimizer backend (NSGA-II,
+    exhaustive search, the classical heuristics — see
+    :mod:`repro.scenarios.backends`) fills ``front``, ``solutions`` and
+    ``valid_count``, the heuristics and the exhaustive search through
+    :meth:`from_solutions`.  An NSGA-II run also keeps its raw
+    :class:`~repro.allocation.nsga2.Nsga2Result` in ``nsga2`` for the
+    generation history and the phase timings.
     """
 
     wavelength_count: int
     objective_keys: Tuple[str, ...]
-    nsga2: Optional[Nsga2Result] = None
-    front: Optional[ParetoFront[AllocationSolution]] = None
-    solutions: Optional[Dict[Tuple[int, ...], AllocationSolution]] = None
-    valid_count: Optional[int] = None
+    front: ParetoFront[AllocationSolution]
+    #: Gene tuple -> solution of every distinct valid chromosome kept; an
+    #: NSGA-II run's mapping materialises each value when it is first read.
+    solutions: Mapping[Tuple[int, ...], AllocationSolution]
+    #: Distinct valid chromosomes encountered (may exceed ``len(solutions)``).
+    valid_count: int
     backend: str = "nsga2"
     #: Distinct chromosomes actually evaluated (memo misses for the GA, whole
     #: space for the exhaustive search; ``None`` when the backend keeps no count).
     evaluations: Optional[int] = None
     #: Evaluations skipped thanks to the duplicate-aware memo (GA runs).
     memo_hits: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.nsga2 is None and self.front is None:
-            raise AllocationError(
-                "an ExplorationResult needs either an NSGA-II result or an "
-                "explicit Pareto front"
-            )
-        if self.nsga2 is not None:
-            if self.evaluations is None:
-                self.evaluations = self.nsga2.evaluations
-            if self.memo_hits is None:
-                self.memo_hits = self.nsga2.memo_hits
+    nsga2: Optional[Nsga2Result] = None
 
     @property
     def evaluation_count(self) -> int:
@@ -117,7 +109,7 @@ class ExplorationResult:
             objective_keys=keys,
             front=front,
             solutions=unique,
-            valid_count=valid_count if valid_count is not None else len(unique),
+            valid_count=len(unique) if valid_count is None else valid_count,
             backend=backend,
             evaluations=evaluations,
         )
@@ -125,41 +117,31 @@ class ExplorationResult:
     @property
     def pareto_front(self) -> ParetoFront[AllocationSolution]:
         """The Pareto front over every valid solution encountered."""
-        if self.front is not None:
-            return self.front
-        return self.nsga2.pareto_front
+        return self.front
 
     @property
     def pareto_solutions(self) -> List[AllocationSolution]:
         """Non-dominated solutions sorted by the first objective."""
-        if self.front is not None:
-            return [item for item, _ in self.pareto_front.sorted_by(0)]
-        return self.nsga2.pareto_solutions
+        return [item for item, _ in self.front.sorted_by(0)]
 
     @property
     def valid_solution_count(self) -> int:
         """Number of distinct valid chromosomes generated (Table II column)."""
-        if self.valid_count is not None:
-            return self.valid_count
-        if self.solutions is not None:
-            return len(self.solutions)
-        return self.nsga2.valid_solution_count
+        return self.valid_count
 
     @property
     def pareto_size(self) -> int:
         """Number of Pareto-front solutions (Table II column)."""
-        return len(self.pareto_front)
+        return len(self.front)
 
     @property
     def valid_solutions(self) -> List[AllocationSolution]:
-        """Every distinct valid solution generated during the run.
+        """Every distinct valid solution kept by the run.
 
         An NSGA-II run materialises the rows that are neither on its front
         nor in its final population here, on the first read (then cached).
         """
-        if self.solutions is not None:
-            return list(self.solutions.values())
-        return list(self.nsga2.unique_valid_solutions.values())
+        return list(self.solutions.values())
 
     def best_objective_values(self) -> Tuple[float, float, float]:
         """(min time kcc, min bit energy fJ, min log10 BER) over the Pareto front.
@@ -218,14 +200,12 @@ class ExplorationResult:
 
     def best_by(self, key: str) -> AllocationSolution:
         """Pareto solution minimising one objective."""
-        if self.front is None:
-            return self.nsga2.best_by(key)
         if key not in self.objective_keys:
             raise AllocationError(
                 f"objective {key!r} was not part of this exploration "
                 f"(keys: {self.objective_keys})"
             )
-        item, _ = self.pareto_front.best_by(self.objective_keys.index(key))
+        item, _ = self.front.best_by(self.objective_keys.index(key))
         return item
 
     def summary_rows(self) -> List[Dict[str, float]]:

@@ -27,8 +27,9 @@ The CLI exposes the most common workflows without writing Python:
     listings) over a JSON HTTP API without re-running any optimizer, and
     accept job submissions (``POST /api/v1/jobs``) for workers to execute.
 ``python -m repro submit scenario.json --store results.sqlite``
-    Enqueue durable jobs (one per unique scenario) into a store — or into a
-    running server with ``--url http://host:port``.
+    Enqueue durable jobs (one per unique scenario; a study document's jobs
+    are recorded under its name) into a store — or into a running server
+    with ``--url http://host:port``.
 ``python -m repro work --store results.sqlite --concurrency 4``
     Run worker processes that claim queued jobs under a lease, execute them
     and persist the results; SIGINT/SIGTERM finish the in-flight job first.
@@ -41,8 +42,8 @@ The CLI exposes the most common workflows without writing Python:
 
 ``run`` and ``study`` accept ``--store PATH``: results are then served from
 the store when present and persisted into it after execution, so repeated
-invocations warm-start instead of recomputing.  ``study --enqueue`` converts
-the batch into queued jobs instead of executing it.
+invocations warm-start instead of recomputing.  ``submit`` queues the same
+documents as durable jobs instead of executing them.
 
 Every classic command accepts ``--wavelengths``, ``--rows``, ``--columns``,
 the GA sizing flags and ``--topology`` / ``--workload`` / ``--mapping``
@@ -319,18 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SQLite result store shared across runs: cached scenarios are "
         "served without executing any optimizer backend",
     )
-    study.add_argument(
-        "--enqueue",
-        action="store_true",
-        help="enqueue the scenarios as durable jobs in --store instead of "
-        "executing them (run them with `repro work`)",
-    )
-    study.add_argument(
-        "--skip-cached",
-        action="store_true",
-        help="with --enqueue: do not enqueue scenarios whose result is "
-        "already in the store",
-    )
 
     cache = subparsers.add_parser(
         "cache", help="inspect or maintain a persistent result store"
@@ -380,12 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="silence the per-request access-log line",
-    )
-    serve.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log each request to stderr (now the default; kept for "
-        "compatibility, overrides --quiet)",
     )
 
     submit = subparsers.add_parser(
@@ -949,25 +932,6 @@ def _command_study(args: argparse.Namespace) -> int:
             [_apply_topology_override(scenario, args) for scenario in study.scenarios],
             name=study.name,
         )
-    if args.enqueue:
-        if not args.store:
-            raise ReproError("study --enqueue needs --store (jobs must be durable)")
-        if args.parallel:
-            raise ReproError(
-                "--parallel has no effect with --enqueue; "
-                "use `repro work --concurrency N` instead"
-            )
-        with ResultStore(args.store) as store:
-            jobs = Study(study.scenarios, name=study.name, store=store).enqueue(
-                skip_cached=args.skip_cached
-            )
-        print(
-            f"enqueued {len(jobs)} job(s) for study {study.name!r} into {args.store}"
-        )
-        print(f"run `repro work --store {args.store} --drain` to execute them")
-        return 0
-    if args.skip_cached:
-        raise ReproError("--skip-cached has no effect without --enqueue")
 
     def progress(completed: int, total: int, result) -> None:
         print(
@@ -1096,13 +1060,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     try:
         # Access logging defaults ON for the CLI service (one structured line
-        # per request); --quiet silences it, --verbose forces it back on.
-        server = create_server(
-            store,
-            host=args.host,
-            port=args.port,
-            quiet=args.quiet and not args.verbose,
-        )
+        # per request); --quiet silences it.
+        server = create_server(store, host=args.host, port=args.port, quiet=args.quiet)
     except OSError as error:
         store.close()
         raise ReproError(

@@ -195,6 +195,9 @@ class GeneticParameters:
     seed: int = 2017
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "tournament_size", "seed"):
+            value = getattr(self, name)
+            _require(is_count(value), f"{name} must be an integer, got {value!r}")
         _require(self.population_size >= 4, "population size must be at least 4")
         _require(self.population_size % 2 == 0, "population size must be even")
         _require(self.generations >= 1, "generations must be at least 1")

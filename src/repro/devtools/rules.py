@@ -490,7 +490,7 @@ def _consumed_keys(from_dict: ast.FunctionDef) -> Optional[Set[str]]:
                 isinstance(arg, ast.Name) and arg.id == payload
                 for arg in child.args
             ):
-                # Helper call such as ``_as_int(payload, "rows", 4)``: the
+                # Helper call such as ``_read(payload, "rows", 4)``: the
                 # first string literal names the key the helper reads.
                 for arg in child.args:
                     key = _constant_str(arg)

@@ -9,21 +9,11 @@
 """
 
 from .parameters import paper_configuration, table1_rows, PAPER_WAVELENGTH_COUNTS
-from .experiments import (
-    PaperExperimentSuite,
-    run_table2,
-    run_fig6a,
-    run_fig6b,
-    run_fig7,
-)
+from .experiments import PaperExperimentSuite
 
 __all__ = [
     "paper_configuration",
     "table1_rows",
     "PAPER_WAVELENGTH_COUNTS",
     "PaperExperimentSuite",
-    "run_table2",
-    "run_fig6a",
-    "run_fig6b",
-    "run_fig7",
 ]

@@ -1,14 +1,17 @@
-"""Drivers regenerating the paper's tables and figures.
+"""The driver regenerating the paper's tables and figures.
 
-Every public entry point returns plain data (rows of dictionaries or (x, y)
-series) so the benchmark harness can both print it and assert its shape:
+Every :class:`PaperExperimentSuite` artefact method returns plain data (rows
+of dictionaries or (x, y) series) so the benchmark harness can both print it
+and assert its shape:
 
-* :func:`run_table2`  — Table II: number of valid solutions and of Pareto-front
-  solutions for 4, 8 and 12 wavelengths.
-* :func:`run_fig6a`   — Fig. 6a: Pareto fronts of bit energy vs execution time.
-* :func:`run_fig6b`   — Fig. 6b: Pareto fronts of log10(BER) vs execution time.
-* :func:`run_fig7`    — Fig. 7: every valid 8-wavelength solution in the
-  (execution time, log10 BER) plane plus the Pareto front.
+* :meth:`~PaperExperimentSuite.table2` — Table II: number of valid solutions
+  and of Pareto-front solutions for 4, 8 and 12 wavelengths.
+* :meth:`~PaperExperimentSuite.fig6a` — Fig. 6a: Pareto fronts of bit energy
+  vs execution time.
+* :meth:`~PaperExperimentSuite.fig6b` — Fig. 6b: Pareto fronts of log10(BER)
+  vs execution time.
+* :meth:`~PaperExperimentSuite.fig7` — Fig. 7: every valid 8-wavelength
+  solution in the (execution time, log10 BER) plane plus the Pareto front.
 
 The heavy part (one NSGA-II run per wavelength count) is shared: a
 :class:`PaperExperimentSuite` describes each run as a
@@ -31,13 +34,7 @@ from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioOutcome, execute_scenario
 from .parameters import PAPER_WAVELENGTH_COUNTS, paper_configuration
 
-__all__ = [
-    "PaperExperimentSuite",
-    "run_table2",
-    "run_fig6a",
-    "run_fig6b",
-    "run_fig7",
-]
+__all__ = ["PaperExperimentSuite"]
 
 
 def _full_scale_requested() -> bool:
@@ -167,36 +164,3 @@ class PaperExperimentSuite:
         """Every Pareto solution of every wavelength count (CSV-ready)."""
         return [row for outcome in self.records() for row in outcome.pareto_rows()]
 
-
-def run_table2(
-    suite: Optional[PaperExperimentSuite] = None, **suite_kwargs
-) -> List[Dict[str, object]]:
-    """Regenerate Table II (see :class:`PaperExperimentSuite`)."""
-    suite = suite or PaperExperimentSuite(**suite_kwargs)
-    return suite.table2()
-
-
-def run_fig6a(
-    suite: Optional[PaperExperimentSuite] = None, **suite_kwargs
-) -> Dict[int, List[Tuple[float, float]]]:
-    """Regenerate the Fig. 6a series."""
-    suite = suite or PaperExperimentSuite(**suite_kwargs)
-    return suite.fig6a()
-
-
-def run_fig6b(
-    suite: Optional[PaperExperimentSuite] = None, **suite_kwargs
-) -> Dict[int, List[Tuple[float, float]]]:
-    """Regenerate the Fig. 6b series."""
-    suite = suite or PaperExperimentSuite(**suite_kwargs)
-    return suite.fig6b()
-
-
-def run_fig7(
-    suite: Optional[PaperExperimentSuite] = None,
-    wavelength_count: int = 8,
-    **suite_kwargs,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Regenerate the Fig. 7 scatter."""
-    suite = suite or PaperExperimentSuite(**suite_kwargs)
-    return suite.fig7(wavelength_count)

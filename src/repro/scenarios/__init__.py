@@ -4,7 +4,6 @@ This subpackage is the public face of the design-space-exploration machinery:
 
 * :mod:`~repro.scenarios.scenario` — :class:`Scenario`, a serialisable value
   object describing one complete run, plus the fluent :class:`ScenarioBuilder`.
-* :mod:`~repro.scenarios.registry` — the generic string-keyed :class:`Registry`.
 * :mod:`~repro.scenarios.backends` — the :class:`OptimizerBackend` protocol and
   the ``nsga2`` / ``exhaustive`` / heuristic backends, together with the
   workload and mapping-strategy registries.
@@ -25,7 +24,7 @@ Quickstart::
     print(result.report())
 """
 
-from .registry import Registry
+from ..registry import Registry
 from .scenario import (
     SCENARIO_SCHEMA,
     Scenario,

@@ -50,7 +50,7 @@ from ..application.workloads import (
 from ..config import GeneticParameters, is_count
 from ..errors import AllocationError, ScenarioError
 from ..topology.base import OnocTopology
-from .registry import Registry
+from ..registry import Registry
 
 __all__ = [
     "OptimizerParameters",
@@ -186,16 +186,21 @@ class Nsga2Backend:
             raise ScenarioError(
                 f"unknown options for optimizer {self.name!r}: {sorted(parameters.options)}"
             )
-        optimizer = Nsga2Optimizer(
+        run = Nsga2Optimizer(
             evaluator=evaluator,
             parameters=parameters.genetic,
             objective_keys=parameters.objective_keys,
-        )
+        ).run()
         return ExplorationResult(
             wavelength_count=evaluator.wavelength_count,
             objective_keys=tuple(parameters.objective_keys),
-            nsga2=optimizer.run(),
+            front=run.pareto_front,
+            solutions=run.unique_valid_solutions,
+            valid_count=run.valid_solution_count,
             backend=self.name,
+            evaluations=run.evaluations,
+            memo_hits=run.memo_hits,
+            nsga2=run,
         )
 
 

@@ -43,8 +43,9 @@ from ..config import (
     OnocConfiguration,
     PhotonicParameters,
     TimingParameters,
+    is_count,
 )
-from ..errors import ScenarioError
+from ..errors import ConfigurationError, ScenarioError
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -89,15 +90,6 @@ _OVERRIDE_GROUPS = {
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ScenarioError(message)
-
-
-def _as_int(payload: Dict[str, Any], key: str, default: Any) -> int:
-    """Integer field of a scenario document, with a clean error on junk."""
-    value = payload.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"scenario {key!r} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -324,6 +316,12 @@ class Scenario:
         )
         object.__setattr__(self, "objectives", tuple(self.objectives))
         _require(bool(self.name), "a scenario needs a non-empty name")
+        for key in ("rows", "columns", "wavelength_count", "seed"):
+            value = getattr(self, key)
+            _require(
+                is_count(value) or (key == "seed" and value is None),
+                f"scenario {key!r} must be an integer, got {value!r}",
+            )
         _require(self.rows >= 1 and self.columns >= 1, "the grid needs at least one core")
         _require(self.wavelength_count >= 1, "the waveguide needs at least one wavelength")
         for key in ("topology", "workload", "mapping", "optimizer"):
@@ -439,12 +437,11 @@ class Scenario:
             raise ScenarioError("scenario 'genetic' must be an object of GA parameters")
         try:
             genetic = GeneticParameters(**genetic_payload)
-        except TypeError as error:
+        except (TypeError, ConfigurationError) as error:
             raise ScenarioError(f"invalid genetic parameters: {error}") from None
         objectives = payload.get("objectives", ObjectiveVector.KEYS)
         if isinstance(objectives, str) or not isinstance(objectives, (list, tuple)):
             raise ScenarioError("scenario 'objectives' must be an array of objective names")
-        seed = payload.get("seed")
         verification_payload = payload.get("verification")
         verification = (
             VerificationSettings()
@@ -457,9 +454,9 @@ class Scenario:
         )
         return cls(
             name=str(payload.get("name", "scenario")),
-            rows=_as_int(payload, "rows", 4),
-            columns=_as_int(payload, "columns", 4),
-            wavelength_count=_as_int(payload, "wavelength_count", 8),
+            rows=payload.get("rows", 4),
+            columns=payload.get("columns", 4),
+            wavelength_count=payload.get("wavelength_count", 8),
             topology=topology,
             topology_options=topology_options,
             workload=workload,
@@ -474,7 +471,7 @@ class Scenario:
             optimizer=optimizer,
             optimizer_options=optimizer_options,
             overrides=payload.get("overrides", {}),
-            seed=None if seed is None else _as_int(payload, "seed", None),
+            seed=payload.get("seed"),
             verification=verification,
             traffic=traffic,
         )

@@ -45,7 +45,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.store imports this module)
-    from ..store.jobs import Job
     from ..store.sqlite import ResultStore
     from ..traffic.simulator import BlockingReport
 
@@ -83,7 +82,6 @@ __all__ = [
     "ScenarioOutcome",
     "ScenarioResult",
     "Study",
-    "StudyCache",
     "StudyResult",
     "build_scenario_evaluator",
     "execute_scenario",
@@ -289,10 +287,9 @@ def _execute_dynamic_scenario(scenario: Scenario, fingerprint: str) -> "Scenario
     seed pins both the request sequence and any randomised strategy — the
     fingerprint promise holds for dynamic runs exactly as for static ones.
     """
-    from ..traffic.allocators import build_online_allocator
+    from ..traffic.allocators import ALLOCATOR_SEED_OFFSET, build_online_allocator
     from ..traffic.models import build_traffic_model
     from ..traffic.simulator import DynamicTrafficSimulator
-    from ..traffic.sweep import ALLOCATOR_SEED_OFFSET
 
     settings = scenario.traffic
     if settings is None:  # pragma: no cover - guarded by the caller
@@ -667,67 +664,6 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"result": result, "telemetry": local.snapshot()}
 
 
-class StudyCache:
-    """Dict-like, live view of a study's result store.
-
-    This preserves the historical ``Study.cache`` contract (a mutable
-    fingerprint-keyed mapping shared across ``run`` calls) on top of the
-    store: lookups use the side-effect free ``peek`` so inspecting the cache
-    never skews hit/miss telemetry, assignments write through to the store,
-    and ``len``/``in`` map to the store's native (cheap) operations.
-    Entries cannot be deleted per key — eviction is the store's ``gc()``
-    policy.
-    """
-
-    def __init__(self, store: "ResultStore") -> None:
-        self._store = store
-
-    def __getitem__(self, fingerprint: str) -> "ScenarioResult":
-        result = self._store.peek(fingerprint)
-        if result is None:
-            raise KeyError(fingerprint)
-        return result
-
-    def __setitem__(self, fingerprint: str, result: "ScenarioResult") -> None:
-        if fingerprint != result.fingerprint:
-            raise ScenarioError(
-                f"cache key {fingerprint!r} does not match the result's "
-                f"fingerprint {result.fingerprint!r}"
-            )
-        self._store.put(result)
-
-    def __contains__(self, fingerprint: object) -> bool:
-        return fingerprint in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.fingerprints())
-
-    def get(
-        self, fingerprint: str, default: Optional["ScenarioResult"] = None
-    ) -> Optional["ScenarioResult"]:
-        """The cached result, or ``default`` when absent."""
-        result = self._store.peek(fingerprint)
-        return default if result is None else result
-
-    def keys(self) -> List[str]:
-        """Every cached fingerprint."""
-        return self._store.fingerprints()
-
-    def items(self) -> List[Tuple[str, "ScenarioResult"]]:
-        """``(fingerprint, result)`` pairs."""
-        return list(self._store.items())
-
-    def values(self) -> List["ScenarioResult"]:
-        """Every cached result."""
-        return [result for _, result in self._store.items()]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StudyCache({self._store.backend_name}, {len(self)} entries)"
-
-
 class Study:
     """A batch of scenarios executed together, serially or in parallel.
 
@@ -784,16 +720,6 @@ class Study:
         """The result store this study reads and writes."""
         return self._store
 
-    @property
-    def cache(self) -> "StudyCache":
-        """Live fingerprint-keyed view of the backing store's results.
-
-        Reads and writes go straight through to the store, so pre-seeding
-        (``study.cache[fp] = result``) still short-circuits :meth:`run` and
-        ``len(study.cache)`` stays one ``COUNT`` query.
-        """
-        return StudyCache(self._store)
-
     def __len__(self) -> int:
         return len(self._scenarios)
 
@@ -844,43 +770,6 @@ class Study:
         return cls.from_dict(payload)
 
     # -------------------------------------------------------------- execution
-    def enqueue(
-        self,
-        priority: int = 0,
-        max_attempts: int = 3,
-        skip_cached: bool = False,
-    ) -> List["Job"]:
-        """Enqueue-instead-of-execute: submit every scenario as a durable job.
-
-        Instead of running the optimizers in this process (:meth:`run`), each
-        *unique* scenario becomes one job on the study's store
-        (:meth:`~repro.store.jobs.SqlJobQueue.enqueue`) for ``repro work``
-        workers to execute; the study association is recorded immediately so
-        Pareto fronts can be fetched by study name once the workers finish.
-        With ``skip_cached`` scenarios whose result is already stored are not
-        enqueued at all (workers would serve them warm anyway — skipping
-        saves the queue round-trip under backpressure).
-        """
-        jobs: List["Job"] = []
-        fingerprints: List[str] = []
-        for scenario in self._scenarios:
-            fingerprint = scenario.fingerprint()
-            if fingerprint in fingerprints:
-                continue
-            fingerprints.append(fingerprint)
-            if skip_cached and fingerprint in self._store:
-                continue
-            jobs.append(
-                self._store.enqueue(
-                    scenario,
-                    priority=priority,
-                    max_attempts=max_attempts,
-                    study=self._name,
-                )
-            )
-        self._store.record_study(self._name, fingerprints)
-        return jobs
-
     def run(
         self,
         parallel: Optional[int] = None,

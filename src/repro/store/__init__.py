@@ -28,7 +28,9 @@ Quickstart::
 
 Queue mode::
 
-    Study(scenarios, store=store).enqueue()  # durable jobs instead of running
+    from repro.store.jobs import enqueue_submission
+
+    enqueue_submission(store, Study(scenarios, name="sweep").to_dict())
     # then, in any number of other processes:  repro work --store results.sqlite
 """
 

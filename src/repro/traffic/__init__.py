@@ -18,10 +18,16 @@ of the classic RWA literature.
   :class:`BlockingReport` with a Wilson interval, warm-up exclusion and link
   utilisation; plus the :func:`erlang_b` analytical oracle.
 * :mod:`~repro.traffic.sweep`      — load-vs-blocking sweeps across
-  strategies, wavelength counts and topologies.
+  strategies, wavelength counts and topologies, one dynamic scenario per
+  point.
 """
 
-from .allocators import ONLINE_ALLOCATORS, OnlineAllocator, build_online_allocator
+from .allocators import (
+    ALLOCATOR_SEED_OFFSET,
+    ONLINE_ALLOCATORS,
+    OnlineAllocator,
+    build_online_allocator,
+)
 from .models import (
     DEFAULT_TRAFFIC_SEED,
     TRAFFIC_MODELS,
@@ -32,7 +38,7 @@ from .models import (
     build_traffic_model,
 )
 from .simulator import BlockingReport, DynamicTrafficSimulator, erlang_b, wilson_interval
-from .sweep import ALLOCATOR_SEED_OFFSET, DEFAULT_SWEEP_SEED, sweep_blocking, sweep_rows
+from .sweep import DEFAULT_SWEEP_SEED, sweep_blocking, sweep_rows
 
 __all__ = [
     "ConnectionRequest",

@@ -40,10 +40,15 @@ from ..registry import Registry
 from .models import DEFAULT_TRAFFIC_SEED, ConnectionRequest
 
 __all__ = [
+    "ALLOCATOR_SEED_OFFSET",
     "OnlineAllocator",
     "ONLINE_ALLOCATORS",
     "build_online_allocator",
 ]
+
+#: Offset separating the allocator's RNG stream from the traffic stream when
+#: both derive from one scenario seed.
+ALLOCATOR_SEED_OFFSET = 1
 
 
 class OnlineAllocator:

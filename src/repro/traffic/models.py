@@ -29,6 +29,7 @@ backends do.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -91,10 +92,14 @@ class ConnectionRequest:
             raise TrafficError(
                 f"request {self.index}: source and destination are both {self.source}"
             )
-        if self.arrival < 0.0:
-            raise TrafficError(f"request {self.index}: negative arrival time")
-        if self.holding <= 0.0:
-            raise TrafficError(f"request {self.index}: holding time must be positive")
+        if not 0.0 <= self.arrival < math.inf:
+            raise TrafficError(
+                f"request {self.index}: arrival time must be finite and non-negative"
+            )
+        if not 0.0 < self.holding < math.inf:
+            raise TrafficError(
+                f"request {self.index}: holding time must be finite and positive"
+            )
 
     @property
     def departure(self) -> float:
@@ -191,10 +196,10 @@ class PoissonTrafficModel:
         pairs: Optional[Sequence[Sequence[int]]] = None,
         seed: int = DEFAULT_TRAFFIC_SEED,
     ) -> None:
-        if offered_load_erlangs <= 0.0:
-            raise TrafficError("offered_load_erlangs must be positive")
-        if mean_holding <= 0.0:
-            raise TrafficError("mean_holding must be positive")
+        if not 0.0 < offered_load_erlangs < math.inf:
+            raise TrafficError("offered_load_erlangs must be finite and positive")
+        if not 0.0 < mean_holding < math.inf:
+            raise TrafficError("mean_holding must be finite and positive")
         if not is_count(request_count):
             raise TypeError(f"request_count must be an integer, got {request_count!r}")
         if request_count <= 0:

@@ -1,10 +1,12 @@
 """Load-vs-blocking sweeps across strategies, wavelength counts and topologies.
 
 :func:`sweep_blocking` is the batch front of the dynamic-traffic subsystem —
-the engine behind ``repro traffic`` and ``examples/dynamic_traffic.py``.  For
-every (offered load, wavelength count) point it generates *one* request
-stream from the seed and replays the identical stream under every strategy,
-so a strategy comparison measures the policies and not sampling noise.
+the engine behind ``repro traffic`` and ``examples/dynamic_traffic.py``.  Every
+(offered load, wavelength count, strategy) point is one dynamic
+:class:`~repro.scenarios.scenario.Scenario` run through
+:func:`~repro.scenarios.study.execute_scenario`.  The points of one load share
+the seed and so replay the identical request stream under every strategy, so
+a strategy comparison measures the policies and not sampling noise.
 """
 
 from __future__ import annotations
@@ -12,16 +14,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import TrafficError
-from ..topology.registry import build_topology
-from .allocators import build_online_allocator
-from .models import DEFAULT_TRAFFIC_SEED, build_traffic_model
-from .simulator import BlockingReport, DynamicTrafficSimulator
+from .simulator import BlockingReport
 
 __all__ = ["sweep_blocking", "sweep_rows", "DEFAULT_SWEEP_SEED"]
-
-#: Offset separating the allocator's RNG stream from the traffic stream when
-#: both derive from one scenario seed.
-ALLOCATOR_SEED_OFFSET = 1
 
 #: Seed of the documented reference sweep (the ``repro traffic`` defaults).
 #: Pinned together with the regression tests so the default sweep reproduces
@@ -52,40 +47,42 @@ def sweep_blocking(
     ``trace`` model the loads axis collapses to the recorded stream (pass a
     single placeholder load).
     """
+    # Imported here, as `_execute_dynamic_scenario` imports this package: no cycle.
+    from ..scenarios.scenario import DYNAMIC_RWA_OPTIMIZER, Scenario, TrafficSettings
+    from ..scenarios.study import execute_scenario
+
     if not wavelength_counts:
         raise TrafficError("sweep needs at least one wavelength count")
     if not strategies:
         raise TrafficError("sweep needs at least one strategy")
     if not loads:
         raise TrafficError("sweep needs at least one offered load")
-    reports: List[BlockingReport] = []
+    topology_options = dict(topology_options or {})
+    reports = []
     for load in loads:
+        options: Dict[str, Any] = dict(model_options or {})
+        if model == "poisson":
+            options.setdefault("offered_load_erlangs", float(load))
+            options.setdefault("mean_holding", float(mean_holding))
+            options.setdefault("request_count", int(request_count))
         for wavelength_count in wavelength_counts:
-            built = build_topology(
-                topology,
-                rows,
-                columns,
-                wavelength_count=wavelength_count,
-                options=dict(topology_options or {}),
-            )
             for strategy in strategies:
-                options: Dict[str, Any] = dict(model_options or {})
-                if model == "poisson":
-                    options.setdefault("offered_load_erlangs", float(load))
-                    options.setdefault("mean_holding", float(mean_holding))
-                    options.setdefault("request_count", int(request_count))
-                traffic = build_traffic_model(model, options, seed=seed)
-                allocator = build_online_allocator(
-                    strategy, None, seed=seed + ALLOCATOR_SEED_OFFSET
+                scenario = Scenario(
+                    rows=rows,
+                    columns=columns,
+                    wavelength_count=wavelength_count,
+                    topology=topology,
+                    topology_options=topology_options,
+                    optimizer=DYNAMIC_RWA_OPTIMIZER,
+                    seed=seed,
+                    traffic=TrafficSettings(
+                        model=model,
+                        model_options=options,
+                        strategy=strategy,
+                        warmup_fraction=warmup_fraction,
+                    ),
                 )
-                simulator = DynamicTrafficSimulator(
-                    built,
-                    traffic,
-                    allocator,
-                    warmup_fraction=warmup_fraction,
-                    topology_name=topology,
-                )
-                reports.append(simulator.run())
+                reports.append(execute_scenario(scenario).blocking)
     return reports
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.allocation import (
@@ -139,3 +142,64 @@ class TestScenarioExploration:
             <= greenest.objectives.execution_time_kcycles
         )
         assert greenest.objectives.bit_energy_fj <= fastest.objectives.bit_energy_fj
+
+
+def accessor_view(result):
+    """Every reporting accessor of an exploration result, as plain JSON data."""
+
+    def genes(solution):
+        return list(solution.chromosome.genes)
+
+    keys = result.objective_keys
+    return {
+        "pareto_front": [[genes(s), list(v)] for s, v in result.pareto_front],
+        "pareto_solutions": [genes(s) for s in result.pareto_solutions],
+        "valid_solution_count": result.valid_solution_count,
+        "pareto_size": result.pareto_size,
+        "valid_solutions": [
+            [genes(s), s.objective_tuple(keys)] for s in result.valid_solutions
+        ],
+        "best_by": {key: genes(result.best_by(key)) for key in keys},
+        "best_objective_values": list(result.best_objective_values()),
+        "summary_rows": result.summary_rows(),
+        "front_series": result.front_series("time", "log_ber"),
+        "evaluation_count": result.evaluation_count,
+        "memo_hit_count": result.memo_hit_count,
+        "backend": result.backend,
+    }
+
+
+class TestOneResultShape:
+    """Every backend fills the same fields; the accessors only read them."""
+
+    #: SHA-256 prefixes of :func:`accessor_view`, recorded when an NSGA-II
+    #: result still answered each accessor from its raw run.
+    PINNED = {
+        "nsga2": ("bc86cf6bd688bf49", {}),
+        "first_fit": ("2ea200b572c3b43b", {"sweep": [1, 2, 3]}),
+    }
+
+    @pytest.mark.parametrize("optimizer", sorted(PINNED))
+    def test_accessors_return_the_pinned_values(self, optimizer):
+        digest, options = self.PINNED[optimizer]
+        scenario = Scenario(
+            name="acc",
+            optimizer=optimizer,
+            optimizer_options=options,
+            genetic=GeneticParameters(population_size=16, generations=4),
+        )
+        result = execute_scenario(scenario).result
+        text = json.dumps(accessor_view(result), sort_keys=True, default=float)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_nsga2_fields_are_the_runs_own(self):
+        scenario = Scenario(genetic=GeneticParameters(population_size=16, generations=4))
+        result = execute_scenario(scenario).result
+        run = result.nsga2
+        assert result.front is run.pareto_front
+        assert result.solutions is run.unique_valid_solutions
+        assert result.valid_count == run.valid_solution_count
+        assert (result.evaluations, result.memo_hits) == (run.evaluations, run.memo_hits)
+        assert all(a is b for a, b in zip(result.pareto_solutions, run.pareto_solutions))
+        for key in result.objective_keys:
+            assert result.best_by(key) is run.best_by(key)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -61,6 +62,24 @@ def traffic_scenario(**settings) -> Scenario:
         optimizer="dynamic_rwa",
         traffic=TrafficSettings(**settings),
     )
+
+
+def scenario_document(genetic=None, **fields) -> dict:
+    """The smoke scenario's document with ``fields`` written in as given.
+
+    The scenario checks refuse such a document at the door, so it reaches a
+    queue only as a row written before those checks existed.
+    """
+    document = smoke_scenario().to_dict()
+    document.update(fields)
+    if genetic is not None:
+        document["genetic"] = dict(document["genetic"], **genetic)
+    return document
+
+
+def trace_event(**fields) -> dict:
+    """One trace event from core 0 to core 1, with ``fields`` overridden."""
+    return dict({"source": 0, "destination": 1, "arrival": 0.0, "holding": 1.0}, **fields)
 
 
 #: Documents that can never run -> the start of the error each job must keep.
@@ -171,7 +190,85 @@ UNRUNNABLE = {
         "TrafficError: invalid options for traffic model 'poisson': "
         "request_count must be an integer",
     ),
+    "fractional_wavelength_count": (
+        lambda: scenario_document(wavelength_count=8.5),
+        "ScenarioError: scenario 'wavelength_count' must be an integer, got 8.5",
+    ),
+    "boolean_wavelength_count": (
+        lambda: scenario_document(wavelength_count=True),
+        "ScenarioError: scenario 'wavelength_count' must be an integer, got True",
+    ),
+    "string_wavelength_count": (
+        lambda: scenario_document(wavelength_count="8"),
+        "ScenarioError: scenario 'wavelength_count' must be an integer, got '8'",
+    ),
+    "fractional_seed": (
+        lambda: scenario_document(seed=2.5),
+        "ScenarioError: scenario 'seed' must be an integer, got 2.5",
+    ),
+    "boolean_generations": (
+        lambda: scenario_document(genetic={"generations": True}),
+        "ScenarioError: invalid genetic parameters: generations must be an integer, got True",
+    ),
+    "fractional_generations": (
+        lambda: scenario_document(genetic={"generations": 4.5}),
+        "ScenarioError: invalid genetic parameters: generations must be an integer, got 4.5",
+    ),
+    "population_below_four": (
+        lambda: scenario_document(genetic={"population_size": 3}),
+        "ScenarioError: invalid genetic parameters: population size must be at least 4",
+    ),
+    "nan_offered_load": (
+        lambda: traffic_scenario(
+            model_options={"offered_load_erlangs": math.nan, "request_count": 50}
+        ),
+        "TrafficError: offered_load_erlangs must be finite and positive",
+    ),
+    "infinite_offered_load": (
+        lambda: traffic_scenario(
+            model_options={"offered_load_erlangs": math.inf, "request_count": 50}
+        ),
+        "TrafficError: offered_load_erlangs must be finite and positive",
+    ),
+    "nan_mean_holding": (
+        lambda: traffic_scenario(
+            model_options={"offered_load_erlangs": 4.0, "request_count": 50, "mean_holding": math.nan}
+        ),
+        "TrafficError: mean_holding must be finite and positive",
+    ),
+    "infinite_mean_holding": (
+        lambda: traffic_scenario(
+            model_options={"offered_load_erlangs": 4.0, "request_count": 50, "mean_holding": math.inf}
+        ),
+        "TrafficError: mean_holding must be finite and positive",
+    ),
+    "nan_trace_arrival": (
+        lambda: traffic_scenario(
+            model="trace", model_options={"events": [trace_event(arrival=math.nan)]}
+        ),
+        "TrafficError: request 0: arrival time must be finite and non-negative",
+    ),
+    "nan_trace_holding": (
+        lambda: traffic_scenario(
+            model="trace", model_options={"events": [trace_event(holding=math.nan)]}
+        ),
+        "TrafficError: request 0: holding time must be finite and positive",
+    ),
 }
+
+
+def enqueue_as_written(queue, document, max_attempts: int = 3) -> Job:
+    """Queue ``document``; a dict the checks refuse goes in as an older row would."""
+    if isinstance(document, Scenario):
+        return queue.enqueue(document, max_attempts=max_attempts)
+    with pytest.raises(ScenarioError):
+        queue.enqueue(document)
+    job = queue.enqueue(smoke_scenario(), max_attempts=max_attempts)
+    with queue._lock, queue._connection:
+        queue._execute(
+            "UPDATE jobs SET scenario = ? WHERE id = ?", (json.dumps(document), job.id)
+        )
+    return job
 
 
 def _subprocess_env() -> dict:
@@ -617,7 +714,7 @@ class TestWorker:
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
     def test_unrunnable_documents_fail_once(self, queue, case):
         build, message = UNRUNNABLE[case]
-        job = queue.enqueue(build(), max_attempts=3)
+        job = enqueue_as_written(queue, build())
         stats = Worker(queue, backoff_base=0.0, poll_interval=0.01).run(drain=True)
         assert stats.failed == 1 and stats.retried == 0 and stats.dead == 0
         snapshot = queue.job(job.id)
@@ -766,13 +863,16 @@ class TestCrashRecovery:
         assert recovered.comparable_dict() == direct.comparable_dict()
 
 
-# ------------------------------------------------------------- study.enqueue()
+# ------------------------------------------------------------- study enqueue
 class TestStudyEnqueue:
+    """A study is queued as the document it is, through ``enqueue_submission``."""
+
     def test_enqueue_instead_of_execute(self):
         store = MemoryStore()
         scenarios = [smoke_scenario(name="a"), smoke_scenario(name="b")]
-        study = Study(scenarios, name="queued-study", store=store)
-        jobs = study.enqueue(priority=4)
+        document = Study(scenarios, name="queued-study").to_dict()
+        study_name, jobs = enqueue_submission(store, document, priority=4)
+        assert study_name == "queued-study"
         assert len(jobs) == 2
         assert all(job.state == "queued" and job.priority == 4 for job in jobs)
         assert all(job.study == "queued-study" for job in jobs)
@@ -785,18 +885,27 @@ class TestStudyEnqueue:
     def test_enqueue_dedupes_identical_scenarios(self):
         store = MemoryStore()
         scenario = smoke_scenario()
-        jobs = Study([scenario, scenario], name="dup", store=store).enqueue()
+        _, jobs = enqueue_submission(
+            store, Study([scenario, scenario], name="dup").to_dict()
+        )
         assert len(jobs) == 1
+        assert store.studies() == {"dup": [scenario.fingerprint()]}
 
-    def test_skip_cached_leaves_stored_scenarios_out(self):
+    def test_stored_scenarios_are_queued_and_served_warm(self):
         store = MemoryStore()
         cached = smoke_scenario(name="cached")
         fresh = smoke_scenario(name="fresh")
         store.put(execute_scenario(cached).summary())
-        jobs = Study([cached, fresh], name="partial", store=store).enqueue(
-            skip_cached=True
+        _, jobs = enqueue_submission(
+            store, Study([cached, fresh], name="partial").to_dict()
         )
-        assert [job.fingerprint for job in jobs] == [fresh.fingerprint()]
+        assert [job.fingerprint for job in jobs] == [
+            cached.fingerprint(),
+            fresh.fingerprint(),
+        ]
+        stats = Worker(store, poll_interval=0.01).run(drain=True)
+        assert stats.completed == 2 and stats.store_hits == 1
+        assert store.studies()["partial"] == [job.fingerprint for job in jobs]
 
 
 # -------------------------------------------------------------------- http api
@@ -876,6 +985,18 @@ class TestJobsHttpApi:
         assert status == 409 and "sideways" in reply["error"]
         status, reply = _request("GET", f"{base}/api/v1/jobs?limit=zero")
         assert status == 400
+
+    @pytest.mark.parametrize("route", ["jobs", "scenarios"])
+    @pytest.mark.parametrize(
+        "case", ["population_below_four", "fractional_generations", "string_wavelength_count"]
+    )
+    def test_documents_the_checks_refuse_are_400(self, api, route, case):
+        base, store = api
+        build, message = UNRUNNABLE[case]
+        status, reply = _request("POST", f"{base}/api/v1/{route}", build())
+        assert status == 400, reply
+        assert message.split(": ", 1)[1] in reply["error"]
+        assert store.jobs() == []
 
     def test_cancel_and_requeue(self, api):
         base, store = api
@@ -995,42 +1116,60 @@ class TestJobsCli:
         assert main(["jobs", "ls"]) == 2
         assert "exactly one of" in capsys.readouterr().err
 
-    def test_study_enqueue_mode(self, tmp_path, capsys):
-        study = Study(
-            [smoke_scenario(name="a"), smoke_scenario(name="b")], name="cli-study"
-        )
+    def test_submit_a_study_document_into_a_store(self, tmp_path, capsys):
+        scenarios = [smoke_scenario(name="a"), smoke_scenario(name="b")]
         document = tmp_path / "study.json"
-        document.write_text(json.dumps(study.to_dict()))
+        document.write_text(json.dumps(Study(scenarios, name="cli-study").to_dict()))
         store_path = str(tmp_path / "q.sqlite")
         output = run_cli(
-            capsys, "study", str(document), "--store", store_path, "--enqueue"
+            capsys, "submit", str(document), "--store", store_path, "--priority", "4"
         )
-        assert "enqueued 2 job(s)" in output
+        assert "enqueued 2 job(s)" in output and "under study 'cli-study'" in output
         with ResultStore(store_path) as store:
             assert store.jobs_stats()["queued"] == 2
             assert len(store) == 0  # nothing executed yet
+            jobs = store.jobs()
+            assert {(job.study, job.priority) for job in jobs} == {("cli-study", 4)}
+            assert store.studies()["cli-study"] == [
+                scenario.fingerprint() for scenario in scenarios
+            ]
 
     def test_study_enqueue_requires_a_store(self, tmp_path, capsys):
         from repro.cli import main
 
         document = tmp_path / "study.json"
         document.write_text(json.dumps([smoke_scenario().to_dict()]))
-        assert main(["study", str(document), "--enqueue"]) == 2
-        assert "needs --store" in capsys.readouterr().err
+        assert main(["submit", str(document)]) == 2
+        assert "exactly one of --store or --url" in capsys.readouterr().err
+        with pytest.raises(SystemExit):  # `repro study` no longer queues
+            main(["study", str(document), "--enqueue"])
 
     @pytest.mark.parametrize(
         "case",
         [
+            "boolean_generations",
             "boolean_pillar",
             "boolean_request_count",
+            "boolean_wavelength_count",
             "crossing_loss_string",
+            "fractional_generations",
             "fractional_layers",
             "fractional_request_count",
+            "fractional_seed",
+            "fractional_wavelength_count",
+            "infinite_mean_holding",
+            "infinite_offered_load",
+            "nan_mean_holding",
+            "nan_offered_load",
+            "nan_trace_arrival",
+            "nan_trace_holding",
             "negative_quality_factor",
             "non_integer_model_seed",
             "pipeline_beyond_the_cores",
+            "population_below_four",
             "random_infeasible_target",
             "random_single_task",
+            "string_wavelength_count",
             "sweep_not_a_list",
             "sweep_of_strings",
             "target_counts_string",
@@ -1044,8 +1183,11 @@ class TestJobsCli:
         from repro.cli import main
 
         build, message = UNRUNNABLE[case]
+        document = build()
         path = tmp_path / "scenario.json"
-        path.write_text(build().to_json())
+        path.write_text(
+            document.to_json() if isinstance(document, Scenario) else json.dumps(document)
+        )
         assert main(["run", str(path)]) == 2
         error = capsys.readouterr().err
         assert error.startswith("error: " + message.split(": ", 1)[1]), error

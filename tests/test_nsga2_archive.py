@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 
 from oracles import ScalarNsga2Replay
-from repro.allocation import (
-    AllocationEvaluator,
-    BatchEvaluation,
-    ExplorationResult,
-    Nsga2Optimizer,
-)
+from repro.allocation import AllocationEvaluator, BatchEvaluation, Nsga2Optimizer
 from repro.allocation.nsga2 import PHASE_METRIC
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
+from repro.scenarios.backends import Nsga2Backend, OptimizerParameters
 from repro.telemetry import configure_tracing, get_registry, render_prometheus, reset_tracing
 from repro.telemetry.report import load_trace
 from repro.topology import RingOnocArchitecture
@@ -74,12 +70,10 @@ class TestLazyMaterialisation:
     def test_reading_valid_solutions_twice_builds_each_row_once(
         self, paper_evaluator, built
     ):
-        result = Nsga2Optimizer(paper_evaluator, PARAMETERS).run()
-        exploration = ExplorationResult(
-            wavelength_count=paper_evaluator.wavelength_count,
-            objective_keys=result.objective_keys,
-            nsga2=result,
+        exploration = Nsga2Backend().run(
+            paper_evaluator, OptimizerParameters(genetic=PARAMETERS)
         )
+        result = exploration.nsga2
         already = {solution.chromosome.genes for solution in result.pareto_solutions}
         already |= {
             solution.chromosome.genes
@@ -94,6 +88,15 @@ class TestLazyMaterialisation:
         assert len(built) - before == result.valid_solution_count - len(already)
         assert all(a is b for a, b in zip(first, second))
         assert len(first) == result.valid_solution_count
+
+    def test_reading_the_valid_count_builds_no_solution(self, paper_evaluator, built):
+        exploration = Nsga2Backend().run(
+            paper_evaluator, OptimizerParameters(genetic=PARAMETERS)
+        )
+        before = len(built)
+        assert exploration.valid_solution_count == exploration.nsga2.valid_solution_count
+        assert exploration.valid_solution_count == len(exploration.solutions)
+        assert len(built) == before
 
     def test_front_and_population_share_their_solutions(self, paper_evaluator):
         result = Nsga2Optimizer(paper_evaluator, PARAMETERS).run()

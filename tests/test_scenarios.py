@@ -349,7 +349,7 @@ class TestStudy:
         study = Study([scenario, scenario.derive(), scenario.derive()])
         result = study.run()
         assert len(result) == 3
-        assert len(study.cache) == 1
+        assert len(study.store) == 1
         first, second, third = result
         assert first.comparable_dict() == second.comparable_dict() == third.comparable_dict()
 
@@ -380,7 +380,7 @@ class TestStudy:
     def test_progress_fires_during_serial_execution_not_after(self):
         cache_sizes = []
         study = Study(self.scenarios())
-        study.run(progress=lambda done, total, result: cache_sizes.append(len(study.cache)))
+        study.run(progress=lambda done, total, result: cache_sizes.append(len(study.store)))
         # At the first callback only one scenario has executed; were progress
         # deferred to the end, the cache would already hold all three.
         assert cache_sizes == [1, 2, 3]

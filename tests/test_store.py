@@ -369,7 +369,7 @@ class TestStudyWithStore:
     def test_preseeding_the_cache_skips_execution(self, smoke_result, monkeypatch):
         scenario = Scenario.from_dict(smoke_result.scenario)
         study = Study([scenario])
-        study.cache[scenario.fingerprint()] = smoke_result
+        study.store.put(smoke_result)
 
         import repro.scenarios.study as study_module
 
@@ -381,21 +381,22 @@ class TestStudyWithStore:
         assert result.results[0] == smoke_result
         assert result.store_hits == 1
 
-    def test_cache_view_is_dict_like(self, smoke_result):
+    def test_the_store_is_the_study_cache(self, smoke_result):
         scenario = Scenario.from_dict(smoke_result.scenario)
         study = Study([scenario])
-        cache = study.cache
-        assert len(cache) == 0 and scenario.fingerprint() not in cache
-        cache[smoke_result.fingerprint] = smoke_result
-        assert len(study.cache) == 1
-        assert study.cache[smoke_result.fingerprint] == smoke_result
-        assert list(study.cache) == [smoke_result.fingerprint]
-        assert dict(study.cache.items()) == {smoke_result.fingerprint: smoke_result}
-        assert study.cache.get("absent") is None
-        with pytest.raises(KeyError):
-            study.cache["absent"]
-        with pytest.raises(Exception, match="fingerprint"):
-            study.cache["wrong-key"] = smoke_result
+        store = study.store
+        assert len(store) == 0 and scenario.fingerprint() not in store
+        store.put(smoke_result)
+        assert len(study.store) == 1 and smoke_result.fingerprint in study.store
+        assert study.store.peek(smoke_result.fingerprint) == smoke_result
+        assert study.store.fingerprints() == [smoke_result.fingerprint]
+        assert dict(study.store.items()) == {smoke_result.fingerprint: smoke_result}
+        assert study.store.peek("absent") is None
+        # put re-derives the address from the embedded scenario document.
+        forged = dataclasses.replace(smoke_result, fingerprint="wrong-key")
+        with pytest.raises(StoreError, match="fingerprint"):
+            study.store.put(forged)
+        assert study.store.fingerprints() == [smoke_result.fingerprint]
 
 
 # ------------------------------------------------------------------- http api

@@ -20,6 +20,7 @@ from repro.errors import ScenarioError, TrafficError
 from repro.scenarios import Scenario, ScenarioBuilder, TrafficSettings, execute_scenario
 from repro.scenarios.study import Study, fetch_or_execute
 from repro.store import MemoryStore
+from repro.telemetry import MetricsRegistry, set_registry
 from repro.topology import build_topology
 from repro.traffic import (
     ALLOCATOR_SEED_OFFSET,
@@ -601,3 +602,109 @@ class TestTrafficCli:
         output = self.run_cli(capsys, "run", str(path))
         assert "blocking probability" in output
         assert "dynamic traffic" in output
+
+
+# ------------------------------------------------------- sweep as scenarios
+def hand_wired_sweep(
+    topology="ring",
+    rows=4,
+    columns=4,
+    wavelength_counts=(4,),
+    strategies=("first_fit", "least_used", "most_used", "random"),
+    loads=(8.0, 16.0, 24.0),
+    request_count=2000,
+    mean_holding=1.0,
+    warmup_fraction=0.1,
+    seed=DEFAULT_SWEEP_SEED,
+    model="poisson",
+    model_options=None,
+    topology_options=None,
+):
+    """The reference sweep: topology, model, allocator and simulator wired by hand."""
+    reports = []
+    for load in loads:
+        for wavelength_count in wavelength_counts:
+            built = build_topology(
+                topology,
+                rows,
+                columns,
+                wavelength_count=wavelength_count,
+                options=dict(topology_options or {}),
+            )
+            for strategy in strategies:
+                options = dict(model_options or {})
+                if model == "poisson":
+                    options.setdefault("offered_load_erlangs", float(load))
+                    options.setdefault("mean_holding", float(mean_holding))
+                    options.setdefault("request_count", int(request_count))
+                traffic = build_traffic_model(model, options, seed=seed)
+                allocator = build_online_allocator(
+                    strategy, None, seed=seed + ALLOCATOR_SEED_OFFSET
+                )
+                simulator = DynamicTrafficSimulator(
+                    built,
+                    traffic,
+                    allocator,
+                    warmup_fraction=warmup_fraction,
+                    topology_name=topology,
+                )
+                reports.append(simulator.run())
+    return reports
+
+
+def recorded_trace(count=40):
+    """A trace-model event list recorded from a seeded Poisson stream."""
+    stream = small_poisson(seed=11, request_count=count).requests(range(16))
+    return [
+        {key: value for key, value in request.to_dict().items() if key != "index"}
+        for request in stream
+    ]
+
+
+SWEEP_CASES = {
+    "ring": dict(wavelength_counts=(2, 4), loads=(8.0, 16.0), request_count=300),
+    "multi_ring": dict(
+        topology="multi_ring",
+        topology_options={"layers": 2},
+        wavelength_counts=(2, 4),
+        loads=(4.0, 8.0),
+        request_count=300,
+    ),
+    "crossbar": dict(topology="crossbar", wavelength_counts=(2, 4), loads=(8.0,), seed=7),
+    "trace": dict(
+        model="trace",
+        model_options={"events": recorded_trace()},
+        wavelength_counts=(2, 4),
+        loads=(0.0,),
+        warmup_fraction=0.0,
+    ),
+}
+
+
+class TestSweepRunsScenarios:
+    """Every sweep point is one dynamic scenario run through execute_scenario."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_sweep_equals_the_hand_wired_loop(self, case):
+        options = SWEEP_CASES[case]
+        reports = sweep_blocking(**options)
+        expected = hand_wired_sweep(**options)
+        assert len(reports) == len(expected) == (
+            len(options["loads"]) * len(options["wavelength_counts"]) * 4
+        )
+        assert [report.to_dict() for report in reports] == [
+            report.to_dict() for report in expected
+        ]
+
+    def test_each_point_is_one_dynamic_execution(self):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            reports = sweep_blocking(
+                rows=2, columns=2, wavelength_counts=(1, 2), loads=(4.0, 8.0), request_count=50
+            )
+        finally:
+            set_registry(previous)
+        assert len(reports) == 16
+        assert registry.counter_value("repro_scenario_executions_total", kind="dynamic") == 16
+        assert registry.counter_value("repro_scenario_executions_total", kind="static") == 0

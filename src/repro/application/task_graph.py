@@ -15,6 +15,7 @@ break their ties in these orders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -42,8 +43,10 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise TaskGraphError("a task needs a non-empty name")
-        if self.execution_cycles < 0.0:
-            raise TaskGraphError(f"task {self.name}: execution time must be non-negative")
+        if not 0.0 <= self.execution_cycles < math.inf:
+            raise TaskGraphError(
+                f"task {self.name}: execution time must be finite and non-negative"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ class CommunicationEdge:
             raise TaskGraphError("edge index must be non-negative")
         if self.source == self.destination:
             raise TaskGraphError(f"edge c{self.index}: a task cannot send data to itself")
-        if self.volume_bits <= 0.0:
-            raise TaskGraphError(f"edge c{self.index}: volume must be positive")
+        if not 0.0 < self.volume_bits < math.inf:
+            raise TaskGraphError(f"edge c{self.index}: volume must be finite and positive")
 
     @property
     def label(self) -> str:

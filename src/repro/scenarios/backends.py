@@ -211,14 +211,10 @@ class ExhaustiveBackend:
     Only tractable for tiny instances; the result's ``valid_solutions`` holds
     the front members only (keeping every enumerated solution would defeat the
     point of summarising an exponential space), while ``valid_solution_count``
-    reports the true number of valid chromosomes encountered.
-
-    Options (all optional):
-
-    ``batch_size``
-        Candidates evaluated per vectorized batch (default
-        :data:`~repro.allocation.exhaustive.DEFAULT_BATCH_SIZE`); bounds the
-        enumeration's peak memory.
+    reports the true number of valid chromosomes encountered.  It takes no
+    options: the space is enumerated in batches of
+    :data:`~repro.allocation.exhaustive.DEFAULT_BATCH_SIZE`, which bounds the
+    enumeration's peak memory.
     """
 
     name = "exhaustive"
@@ -226,17 +222,11 @@ class ExhaustiveBackend:
     def run(
         self, evaluator: AllocationEvaluator, parameters: OptimizerParameters
     ) -> ExplorationResult:
-        options = dict(parameters.options)
-        batch_size = options.pop("batch_size", None)
-        if options:
+        if parameters.options:
             raise ScenarioError(
-                f"unknown options for optimizer {self.name!r}: {sorted(options)}"
+                f"unknown options for optimizer {self.name!r}: {sorted(parameters.options)}"
             )
-        front, valid_count = exhaustive_pareto_front(
-            evaluator,
-            parameters.objective_keys,
-            batch_size=None if batch_size is None else int(batch_size),
-        )
+        front, valid_count = exhaustive_pareto_front(evaluator, parameters.objective_keys)
         space = (2 ** evaluator.wavelength_count - 1) ** evaluator.communication_count
         result = ExplorationResult.from_solutions(
             wavelength_count=evaluator.wavelength_count,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -113,16 +114,19 @@ class VerificationSettings:
             isinstance(self.simulate, bool),
             "verification 'simulate' must be a boolean",
         )
+        # A boolean or an infinite tolerance would let a diverging replay pass.
         _require(
-            float(self.tolerance) >= 0.0,
-            "verification 'tolerance' must be non-negative",
+            isinstance(self.tolerance, (int, float))
+            and not isinstance(self.tolerance, bool)
+            and 0.0 <= self.tolerance < math.inf,
+            f"verification 'tolerance' must be a finite non-negative number, "
+            f"got {self.tolerance!r}",
         )
         _require(
-            int(self.parallel) >= 0,
-            "verification 'parallel' must be a non-negative worker count",
+            is_count(self.parallel) and self.parallel >= 0,
+            f"verification 'parallel' must be a non-negative integer, got {self.parallel!r}",
         )
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "parallel", int(self.parallel))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible dictionary; inverse of :meth:`from_dict`."""
@@ -140,17 +144,14 @@ class VerificationSettings:
         defaults = cls()
         unknown = set(payload) - {"simulate", "tolerance", "parallel"}
         _require(not unknown, f"unknown verification keys: {sorted(unknown)}")
-        try:
-            # 'simulate' is passed through unconverted: bool("false") is True,
-            # so coercion would silently enable simulation on junk input —
-            # __post_init__'s isinstance check rejects non-booleans instead.
-            return cls(
-                simulate=payload.get("simulate", defaults.simulate),
-                tolerance=float(payload.get("tolerance", defaults.tolerance)),
-                parallel=int(payload.get("parallel", defaults.parallel)),
-            )
-        except (TypeError, ValueError) as error:
-            raise ScenarioError(f"invalid verification settings: {error}") from None
+        # Every value goes through unconverted: bool("false") is True and
+        # int(2.5) is 2, so coercion would silently run a typo —
+        # __post_init__'s type checks refuse it instead.
+        return cls(
+            simulate=payload.get("simulate", defaults.simulate),
+            tolerance=payload.get("tolerance", defaults.tolerance),
+            parallel=payload.get("parallel", defaults.parallel),
+        )
 
 
 @dataclass(frozen=True)

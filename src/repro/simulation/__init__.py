@@ -1,23 +1,26 @@
-"""Discrete-event simulation substrate.
+"""Discrete-event simulation of a mapped application on the ONoC.
 
-The paper evaluates its models analytically; this subpackage adds an
-event-driven simulator of the mapped application on the ring ONoC so that the
-analytical schedule of Eqs. (10)-(12) can be cross-checked and so that richer
-workloads (resource contention, injection jitter) can be studied.
+The paper evaluates its models analytically; this subpackage replays an
+allocation event by event so that the analytical schedule of Eqs. (10)-(12)
+can be cross-checked.
 
-* :mod:`~repro.simulation.events`     — the time-ordered event queue.
-* :mod:`~repro.simulation.engine`     — a minimal generic discrete-event engine.
-* :mod:`~repro.simulation.onoc_sim`   — the ONoC-specific simulator: task
-  execution, wavelength-parallel transfers, ring occupancy tracking.
-* :mod:`~repro.simulation.statistics` — collected counters and utilisation.
-* :mod:`~repro.simulation.verify`     — replay-based verification of optimizer
+* :mod:`~repro.simulation.engine`   — the discrete-event engine: one heap of
+  ``(time, priority, sequence, action)`` tuples.
+* :mod:`~repro.simulation.onoc_sim` — the ONoC-specific simulator: task
+  execution, wavelength-parallel transfers, ring occupancy tracking, and the
+  counters and utilisations of one run.
+* :mod:`~repro.simulation.verify`   — replay-based verification of optimizer
   output (conflict-freeness + makespan agreement with the analytical model).
 """
 
-from .events import PRIORITY_ACQUIRE, PRIORITY_RELEASE, Event, EventQueue
-from .engine import DiscreteEventEngine
-from .onoc_sim import ConflictRecord, OnocSimulator, SimulationReport, TransferRecord
-from .statistics import SimulationStatistics, UtilisationTracker
+from .engine import PRIORITY_ACQUIRE, PRIORITY_RELEASE, DiscreteEventEngine
+from .onoc_sim import (
+    ConflictRecord,
+    OnocSimulator,
+    SimulationReport,
+    SimulationStatistics,
+    TransferRecord,
+)
 from .verify import (
     DEFAULT_TOLERANCE,
     SimulationVerifier,
@@ -26,8 +29,6 @@ from .verify import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "PRIORITY_RELEASE",
     "PRIORITY_ACQUIRE",
     "DiscreteEventEngine",
@@ -36,7 +37,6 @@ __all__ = [
     "TransferRecord",
     "ConflictRecord",
     "SimulationStatistics",
-    "UtilisationTracker",
     "DEFAULT_TOLERANCE",
     "SimulationVerifier",
     "SolutionVerification",

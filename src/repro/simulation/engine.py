@@ -1,99 +1,75 @@
-"""Minimal generic discrete-event engine.
+"""Discrete-event engine: one heap of ``(time, priority, sequence, action)``.
 
-The engine owns the clock and the event queue; domain simulators (such as
-:class:`repro.simulation.onoc_sim.OnocSimulator`) schedule callbacks on it.
-The design intentionally mirrors the small core of SimPy-style frameworks
-without the generator plumbing: callbacks are plain callables, which keeps the
-control flow easy to follow and to test.
+Domain simulators (such as :class:`repro.simulation.onoc_sim.OnocSimulator`)
+schedule plain zero-argument callables on it.  Events fire in time order; at
+equal times the lower priority fires first, then the earlier insertion, so
+every run is deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import heapq
+import itertools
+from typing import Callable, List, Tuple
 
 from ..errors import SimulationError
-from .events import Event, EventQueue
 
-__all__ = ["DiscreteEventEngine"]
+__all__ = ["DiscreteEventEngine", "PRIORITY_RELEASE", "PRIORITY_ACQUIRE"]
+
+# Shared tie-break convention for events that touch a contended resource:
+# at equal timestamps, events that *release* capacity (transfer completions,
+# connection departures) must fire before events that *acquire* it (task
+# launches, connection arrivals), otherwise a request can be refused capacity
+# that frees at the very same instant — and the refusal would depend on
+# insertion order instead of being deterministic.
+PRIORITY_RELEASE = 0
+PRIORITY_ACQUIRE = 1
 
 
 class DiscreteEventEngine:
-    """Run scheduled callbacks in time order."""
+    """Run scheduled callbacks in (time, priority, insertion) order.
+
+    ``now`` is the simulation clock and ``processed_events`` the number of
+    events run so far.
+    """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
-        self._now = 0.0
-        self._running = False
-        self._processed = 0
+        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
+        self._sequence = itertools.count()
+        self.now = 0.0
+        self.processed_events = 0
 
-    # ----------------------------------------------------------------- clock
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    # -------------------------------------------------------------- schedule
-    def schedule_at(
-        self, time: float, action: Callable[[], None], priority: int = 0, label: str = ""
-    ) -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None], priority: int = 0) -> None:
         """Schedule an action at an absolute time (must not be in the past)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event at {time}, the clock is already at {self._now}"
+                f"cannot schedule an event at {time}, the clock is already at {self.now}"
             )
-        return self._queue.push(time, action, priority=priority, label=label)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), action))
 
     def schedule_after(
-        self, delay: float, action: Callable[[], None], priority: int = 0, label: str = ""
-    ) -> Event:
+        self, delay: float, action: Callable[[], None], priority: int = 0
+    ) -> None:
         """Schedule an action ``delay`` time units from now."""
         if delay < 0.0:
             raise SimulationError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, action, priority=priority, label=label)
+        self.schedule_at(self.now + delay, action, priority)
 
-    # -------------------------------------------------------------------- run
-    def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> float:
-        """Process events until the queue drains, ``until`` is reached, or the cap hits.
+    def run(self, max_events: int = 1_000_000) -> float:
+        """Process events until the heap drains; returns the final clock.
 
-        Returns the simulation time at which the run stopped.
+        Reaching ``max_events`` events in one run is taken for a scheduling
+        loop and raises :class:`~repro.errors.SimulationError`.
         """
-        if self._running:
-            raise SimulationError("the engine is already running")
-        self._running = True
-        try:
-            executed = 0
-            while self._queue:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                event = self._queue.pop()
-                if event is None:
-                    break
-                self._now = event.time
-                event.action()
-                self._processed += 1
-                executed += 1
-                if executed >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "likely a scheduling loop"
-                    )
-            if until is not None and not self._queue and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def reset(self) -> None:
-        """Discard pending events and rewind the clock to zero."""
-        self._queue = EventQueue()
-        self._now = 0.0
-        self._processed = 0
+        heap = self._heap
+        executed = 0
+        while heap:
+            self.now, _, _, action = heapq.heappop(heap)
+            action()
+            self.processed_events += 1
+            executed += 1
+            if executed >= max_events:
+                raise SimulationError(
+                    f"simulation exceeded {max_events} events; likely a scheduling loop"
+                )
+        return self.now

@@ -29,11 +29,15 @@ from ..application.task_graph import TaskGraph
 from ..config import OnocConfiguration
 from ..errors import SimulationError
 from ..topology.base import OnocTopology
-from .engine import DiscreteEventEngine
-from .events import PRIORITY_ACQUIRE, PRIORITY_RELEASE
-from .statistics import SimulationStatistics, UtilisationTracker
+from .engine import PRIORITY_ACQUIRE, PRIORITY_RELEASE, DiscreteEventEngine
 
-__all__ = ["TransferRecord", "ConflictRecord", "SimulationReport", "OnocSimulator"]
+__all__ = [
+    "TransferRecord",
+    "ConflictRecord",
+    "SimulationStatistics",
+    "SimulationReport",
+    "OnocSimulator",
+]
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,46 @@ class ConflictRecord:
     segment: Tuple[int, int]
     channel: int
     time_cycle: float
+
+
+@dataclass
+class SimulationStatistics:
+    """Aggregated counters produced by one simulation run.
+
+    A utilisation is a resource's busy cycles over the makespan, reported
+    raw: above 1.0 means overlapping busy intervals (one wavelength carrying
+    several transfers on disjoint segments), which clamping would hide.
+    """
+
+    makespan_cycles: float = 0.0
+    transfers_completed: int = 0
+    tasks_completed: int = 0
+    total_bits_transferred: float = 0.0
+    wavelength_cycles_reserved: float = 0.0
+    conflicts_detected: int = 0
+    core_utilisation: Dict[int, float] = field(default_factory=dict)
+    wavelength_utilisation: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def average_core_utilisation(self) -> float:
+        """Mean utilisation over the cores that executed at least one task."""
+        if not self.core_utilisation:
+            return 0.0
+        return sum(self.core_utilisation.values()) / len(self.core_utilisation)
+
+    @property
+    def average_wavelength_utilisation(self) -> float:
+        """Mean utilisation over the wavelengths that carried at least one transfer."""
+        if not self.wavelength_utilisation:
+            return 0.0
+        return sum(self.wavelength_utilisation.values()) / len(self.wavelength_utilisation)
+
+    @property
+    def effective_bandwidth_bits_per_cycle(self) -> float:
+        """Bits delivered per clock cycle over the whole execution."""
+        if self.makespan_cycles <= 0.0:
+            return 0.0
+        return self.total_bits_transferred / self.makespan_cycles
 
 
 @dataclass
@@ -152,8 +196,9 @@ class OnocSimulator:
         conflicts: List[ConflictRecord] = []
         # Occupancy of (segment, channel) -> set of active edge indices.
         occupancy: Dict[Tuple[Tuple[int, int], int], Set[int]] = {}
-        core_tracker = UtilisationTracker()
-        wavelength_tracker = UtilisationTracker()
+        # Busy cycles per core and per wavelength, in first-use order.
+        core_busy: Dict[int, float] = {}
+        wavelength_busy: Dict[int, float] = {}
 
         def start_task(name: str) -> None:
             task = graph.task(name)
@@ -162,7 +207,7 @@ class OnocSimulator:
 
             def finish_task() -> None:
                 task_completion[name] = engine.now
-                core_tracker.add_busy_interval(core, start, engine.now)
+                core_busy[core] = core_busy.get(core, 0.0) + (engine.now - start)
                 for successor in graph.successors(name):
                     edge = graph.communication_between(name, successor)
                     start_transfer(edge.index, successor)
@@ -171,12 +216,7 @@ class OnocSimulator:
             # (PRIORITY_RELEASE) must release their wavelengths before a
             # finishing task launches new transfers, otherwise back-to-back
             # reuse of a wavelength would be reported as a conflict.
-            engine.schedule_after(
-                task.execution_cycles,
-                finish_task,
-                priority=PRIORITY_ACQUIRE,
-                label=f"finish {name}",
-            )
+            engine.schedule_after(task.execution_cycles, finish_task, PRIORITY_ACQUIRE)
 
         def start_transfer(edge_index: int, destination_task: str) -> None:
             communication = self._communications[edge_index]
@@ -206,8 +246,9 @@ class OnocSimulator:
                 for segment in segments:
                     for channel in channels:
                         occupancy[(segment, channel)].discard(edge_index)
+                busy = engine.now - start
                 for channel in channels:
-                    wavelength_tracker.add_busy_interval(channel, start, engine.now)
+                    wavelength_busy[channel] = wavelength_busy.get(channel, 0.0) + busy
                 transfers.append(
                     TransferRecord(
                         edge_index=edge_index,
@@ -223,12 +264,7 @@ class OnocSimulator:
                 if pending_inputs[destination_task] == 0:
                     start_task(destination_task)
 
-            engine.schedule_after(
-                duration,
-                finish_transfer,
-                priority=PRIORITY_RELEASE,
-                label=f"finish c{edge_index}",
-            )
+            engine.schedule_after(duration, finish_transfer, PRIORITY_RELEASE)
 
         for name in graph.entry_tasks():
             start_task(name)
@@ -241,6 +277,12 @@ class OnocSimulator:
                 f"simulation ended with unfinished tasks: {', '.join(unfinished)}"
             )
 
+        def utilisation(busy: Dict[int, float]) -> Dict[int, float]:
+            return {
+                resource: 0.0 if makespan <= 0.0 else cycles / makespan
+                for resource, cycles in busy.items()
+            }
+
         statistics = SimulationStatistics(
             makespan_cycles=makespan,
             transfers_completed=len(transfers),
@@ -250,14 +292,8 @@ class OnocSimulator:
                 record.duration_cycles * len(record.channels) for record in transfers
             ),
             conflicts_detected=len(conflicts),
-            core_utilisation={
-                core: core_tracker.utilisation(core, makespan)
-                for core in core_tracker.resources()
-            },
-            wavelength_utilisation={
-                channel: wavelength_tracker.utilisation(channel, makespan)
-                for channel in wavelength_tracker.resources()
-            },
+            core_utilisation=utilisation(core_busy),
+            wavelength_utilisation=utilisation(wavelength_busy),
         )
         transfers.sort(key=lambda record: record.edge_index)
         return SimulationReport(

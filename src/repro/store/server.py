@@ -35,7 +35,8 @@ Endpoints (all JSON):
 Every error path answers with the same JSON envelope
 (``{"error": ..., "status": ...}``): expected conditions map to
 400/404/409/413, and any uncaught handler exception is converted into a 500
-envelope instead of a raw traceback.
+envelope instead of a raw traceback.  ``PUT`` and ``PATCH`` have no route and
+answer the 404 envelope; ``HEAD`` keeps the standard library's bodiless 501.
 
 ``GET /results/<fp>`` and ``/pareto`` answer from the stored JSON text
 (:meth:`~repro.store.sqlite.ResultStore.document`) in compact form: the
@@ -62,6 +63,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..config import is_count
 from ..errors import JobError, ReproError, ScenarioError, StoreError
 from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
@@ -431,6 +433,14 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self._route_delete)
 
+    def do_PUT(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._route_none)
+
+    do_PATCH = do_PUT
+
+    def _route_none(self) -> None:
+        self._send_error_json(404, f"no {self.command} route for {self.path!r}")
+
     def _route_get(self) -> None:
         store = self.server.store
         segments = self._segments()
@@ -585,14 +595,14 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         # study document and goes through scenarios_from_submission whole, so
         # its name is preserved.
         if isinstance(payload, dict) and "scenario" in payload:
-            try:
-                priority = int(payload.get("priority", 0))
-                max_attempts = int(payload.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
-            except (TypeError, ValueError) as error:
-                self._send_error_json(
-                    400, f"priority/max_attempts must be integers: {error}"
+            priority = payload.get("priority", priority)
+            max_attempts = payload.get("max_attempts", max_attempts)
+            if not is_count(priority):
+                raise _RequestError(400, f"priority must be an integer, got {priority!r}")
+            if not (is_count(max_attempts) and max_attempts >= 1):
+                raise _RequestError(
+                    400, f"max_attempts must be an integer of at least 1, got {max_attempts!r}"
                 )
-                return
             if payload.get("study") is not None:
                 study_override = str(payload["study"])
             payload = payload["scenario"]

@@ -16,9 +16,9 @@ one pass instead of running a discrete-event queue.  The order is:
 * by time;
 * at equal times, departures before arrivals — a departure that frees
   capacity at time *t* must come before an arrival at the same *t*, the
-  :data:`~repro.simulation.events.PRIORITY_RELEASE` /
-  :data:`~repro.simulation.events.PRIORITY_ACQUIRE` convention of the
-  shared discrete-event engine;
+  :data:`~repro.simulation.engine.PRIORITY_RELEASE` /
+  :data:`~repro.simulation.engine.PRIORITY_ACQUIRE` convention of the
+  discrete-event engine;
 * then by stream position: arrivals at one time are admitted in stream
   order, and departures at one time commute, so their order among
   themselves changes nothing;

@@ -30,8 +30,7 @@ from repro.allocation import Chromosome, Nsga2Optimizer, ParetoFront, nsga2
 from repro.allocation.objectives import AllocationSolution
 from repro.allocation.pareto import _INF_CLAMP, dominates
 from repro.errors import TrafficError
-from repro.simulation.engine import DiscreteEventEngine
-from repro.simulation.events import PRIORITY_ACQUIRE, PRIORITY_RELEASE
+from repro.simulation.engine import PRIORITY_ACQUIRE, PRIORITY_RELEASE, DiscreteEventEngine
 from repro.traffic.simulator import BlockingReport, wilson_interval
 
 __all__ = [
@@ -240,7 +239,6 @@ def heap_traffic_replay(
             request.departure,
             lambda: depart(path, wavelength),
             priority=PRIORITY_RELEASE,
-            label=f"depart {request.index}",
         )
 
     for request in requests:
@@ -248,7 +246,6 @@ def heap_traffic_replay(
             request.arrival,
             lambda request=request: arrive(request),
             priority=PRIORITY_ACQUIRE,
-            label=f"arrive {request.index}",
         )
     duration = engine.run(max_events=max(1_000_000, 4 * len(requests)))
 

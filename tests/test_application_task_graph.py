@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.application import TaskGraph, paper_task_graph
@@ -66,6 +68,19 @@ class TestConstruction:
     def test_empty_task_name_rejected(self):
         with pytest.raises(TaskGraphError):
             TaskGraph().add_task("", 1.0)
+
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf])
+    def test_non_finite_execution_time_rejected(self, cycles):
+        # NaN compares false against every bound, so only a range check
+        # refuses it; a NaN delay would pass the engine's past-time check too.
+        with pytest.raises(TaskGraphError, match="finite and non-negative"):
+            TaskGraph().add_task("bad", cycles)
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf])
+    def test_non_finite_volume_rejected(self, diamond, volume):
+        with pytest.raises(TaskGraphError, match="finite and positive"):
+            diamond.add_communication("B", "C", volume)
+        assert diamond.communication_count == 4
 
 
 class TestAccess:

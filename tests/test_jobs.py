@@ -77,6 +77,15 @@ def scenario_document(genetic=None, **fields) -> dict:
     return document
 
 
+def pipeline_scenario(**workload_options) -> Scenario:
+    """A 4-stage pipeline on the default mapping with ``workload_options`` added."""
+    return smoke_scenario(
+        workload="pipeline",
+        workload_options={"stage_count": 4, **workload_options},
+        mapping="default",
+    )
+
+
 def trace_event(**fields) -> dict:
     """One trace event from core 0 to core 1, with ``fields`` overridden."""
     return dict({"source": 0, "destination": 1, "arrival": 0.0, "holding": 1.0}, **fields)
@@ -253,6 +262,44 @@ UNRUNNABLE = {
             model="trace", model_options={"events": [trace_event(holding=math.nan)]}
         ),
         "TrafficError: request 0: holding time must be finite and positive",
+    ),
+    "fractional_verification_parallel": (
+        lambda: scenario_document(verification={"simulate": True, "parallel": 2.5}),
+        "ScenarioError: verification 'parallel' must be a non-negative integer, got 2.5",
+    ),
+    "string_verification_parallel": (
+        lambda: scenario_document(verification={"simulate": True, "parallel": "2"}),
+        "ScenarioError: verification 'parallel' must be a non-negative integer, got '2'",
+    ),
+    "boolean_verification_parallel": (
+        lambda: scenario_document(verification={"simulate": True, "parallel": True}),
+        "ScenarioError: verification 'parallel' must be a non-negative integer, got True",
+    ),
+    "boolean_verification_tolerance": (
+        lambda: scenario_document(verification={"simulate": True, "tolerance": True}),
+        "ScenarioError: verification 'tolerance' must be a finite non-negative number, "
+        "got True",
+    ),
+    "infinite_verification_tolerance": (
+        lambda: scenario_document(verification={"simulate": True, "tolerance": math.inf}),
+        "ScenarioError: verification 'tolerance' must be a finite non-negative number, "
+        "got inf",
+    ),
+    "nan_execution_cycles": (
+        lambda: pipeline_scenario(execution_cycles=math.nan),
+        "TaskGraphError: task S0: execution time must be finite and non-negative",
+    ),
+    "infinite_execution_cycles": (
+        lambda: pipeline_scenario(execution_cycles=math.inf),
+        "TaskGraphError: task S0: execution time must be finite and non-negative",
+    ),
+    "nan_volume_bits": (
+        lambda: pipeline_scenario(volume_bits=math.nan),
+        "TaskGraphError: edge c0: volume must be finite and positive",
+    ),
+    "exhaustive_batch_size": (
+        lambda: smoke_scenario(optimizer="exhaustive", optimizer_options={"batch_size": "abc"}),
+        "ScenarioError: unknown options for optimizer 'exhaustive': ['batch_size']",
     ),
 }
 
@@ -973,6 +1020,25 @@ class TestJobsHttpApi:
         assert job["priority"] == 7 and job["max_attempts"] == 9
         assert job["study"] == "wrapped"
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"priority": 2.5},
+            {"priority": "2"},
+            {"priority": True},
+            {"max_attempts": True},
+            {"max_attempts": 0},
+            {"max_attempts": 2.5},
+        ],
+    )
+    def test_submit_wrapper_refuses_options_that_are_not_counts(self, api, options):
+        base, store = api
+        body = {"scenario": smoke_scenario().to_dict(), **options}
+        status, reply = _request("POST", f"{base}/api/v1/jobs", body)
+        assert status == 400 and reply["status"] == 400, reply
+        assert f"{next(iter(options))} must be an integer" in reply["error"]
+        assert store.jobs() == []
+
     def test_listing_filters_by_state(self, api):
         base, store = api
         store.enqueue(smoke_scenario(name="a"))
@@ -988,7 +1054,13 @@ class TestJobsHttpApi:
 
     @pytest.mark.parametrize("route", ["jobs", "scenarios"])
     @pytest.mark.parametrize(
-        "case", ["population_below_four", "fractional_generations", "string_wavelength_count"]
+        "case",
+        [
+            "population_below_four",
+            "fractional_generations",
+            "string_wavelength_count",
+            "fractional_verification_parallel",
+        ],
     )
     def test_documents_the_checks_refuse_are_400(self, api, route, case):
         base, store = api
@@ -1150,25 +1222,34 @@ class TestJobsCli:
             "boolean_generations",
             "boolean_pillar",
             "boolean_request_count",
+            "boolean_verification_parallel",
+            "boolean_verification_tolerance",
             "boolean_wavelength_count",
             "crossing_loss_string",
+            "exhaustive_batch_size",
             "fractional_generations",
             "fractional_layers",
             "fractional_request_count",
             "fractional_seed",
+            "fractional_verification_parallel",
             "fractional_wavelength_count",
+            "infinite_execution_cycles",
             "infinite_mean_holding",
             "infinite_offered_load",
+            "infinite_verification_tolerance",
+            "nan_execution_cycles",
             "nan_mean_holding",
             "nan_offered_load",
             "nan_trace_arrival",
             "nan_trace_holding",
+            "nan_volume_bits",
             "negative_quality_factor",
             "non_integer_model_seed",
             "pipeline_beyond_the_cores",
             "population_below_four",
             "random_infeasible_target",
             "random_single_task",
+            "string_verification_parallel",
             "string_wavelength_count",
             "sweep_not_a_list",
             "sweep_of_strings",

@@ -139,27 +139,6 @@ class TestStudySurface:
         assert rebuilt.evaluations == summary.evaluations
         assert rebuilt.memo_hits == summary.memo_hits
 
-    def test_exhaustive_batch_size_knob(self):
-        scenario = (
-            Scenario.builder()
-            .named("exhaustive-batched")
-            .grid(2, 2)
-            .wavelengths(2)
-            .workload("pipeline", stage_count=3)
-            .mapping("round_robin")
-            .optimizer("exhaustive", batch_size=5)
-            .build()
-        )
-        small = execute_scenario(scenario).summary()
-        large = execute_scenario(
-            scenario.derive(optimizer_options={"batch_size": 4096})
-        ).summary()
-        assert small.valid_solution_count == large.valid_solution_count
-        assert small.pareto_size == large.pareto_size
-        # Two pipeline edges, two wavelengths: (2^2 - 1)^2 = 9 candidates.
-        assert small.evaluations == large.evaluations == 9
-        assert small.best_time_kcycles == large.best_time_kcycles
-
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_retired_engine_option_is_rejected(self, engine):
         """``engine`` is no nsga2 option any more: naming it fails cleanly."""

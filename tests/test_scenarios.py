@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,39 @@ class TestScenarioRoundTrip:
     def test_malformed_documents_raise_scenario_error(self, payload):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"parallel": 2.5},
+            {"parallel": "2"},
+            {"parallel": True},
+            {"tolerance": True},
+            {"tolerance": math.inf},
+            {"tolerance": "1e-9"},
+        ],
+    )
+    def test_verification_typos_are_refused_not_coerced(self, settings):
+        # int(2.5) is 2 and float(True) is 1.0: coercion would run a typo
+        # under a fingerprint of its own, and an infinite or boolean tolerance
+        # would let a diverging replay pass.
+        key = next(iter(settings))
+        with pytest.raises(ScenarioError, match=f"verification '{key}'"):
+            Scenario.from_dict({"verification": {"simulate": True, **settings}})
+        with pytest.raises(ScenarioError, match=f"verification '{key}'"):
+            ScenarioBuilder().verify(simulate=True, **settings)
+
+    @pytest.mark.parametrize(
+        "settings, fingerprint",
+        [
+            ({"simulate": True, "parallel": 2}, "3825a38c93d88072"),
+            ({"simulate": True, "tolerance": 1.0}, "f60b81a46151d328"),
+            ({"simulate": True, "tolerance": 1}, "f60b81a46151d328"),
+        ],
+    )
+    def test_valid_verification_documents_keep_their_fingerprints(self, settings, fingerprint):
+        document = dict(Scenario().to_dict(), verification=settings)
+        assert Scenario.from_dict(document).fingerprint() == fingerprint
 
 
 class TestScenarioBuilder:

@@ -7,74 +7,48 @@ import pytest
 from repro.application import Mapping, paper_mapping, paper_task_graph, pipeline_task_graph
 from repro.errors import SimulationError
 from repro.simulation import (
+    PRIORITY_ACQUIRE,
+    PRIORITY_RELEASE,
     ConflictRecord,
     DiscreteEventEngine,
-    EventQueue,
     OnocSimulator,
-    UtilisationTracker,
 )
 from repro.topology import RingOnocArchitecture
 
 
+def run_in_order(*events):
+    """Schedule ``(time, name, priority)`` events; return the names as fired."""
+    engine = DiscreteEventEngine()
+    order = []
+    for time, name, priority in events:
+        engine.schedule_at(time, lambda name=name: order.append(name), priority)
+    engine.run()
+    return order
+
+
 class TestEventQueue:
+    """The engine's heap order: time, then priority, then insertion."""
+
     def test_events_pop_in_time_order(self):
-        queue = EventQueue()
-        order = []
-        queue.push(5.0, lambda: order.append("late"))
-        queue.push(1.0, lambda: order.append("early"))
-        queue.push(3.0, lambda: order.append("middle"))
-        while queue:
-            queue.pop().action()
+        order = run_in_order((5.0, "late", 0), (1.0, "early", 0), (3.0, "middle", 0))
         assert order == ["early", "middle", "late"]
 
     def test_same_time_uses_priority_then_insertion(self):
-        queue = EventQueue()
-        order = []
-        queue.push(1.0, lambda: order.append("second"), priority=1)
-        queue.push(1.0, lambda: order.append("first"), priority=0)
-        queue.push(1.0, lambda: order.append("third"), priority=1)
-        while queue:
-            queue.pop().action()
+        order = run_in_order((1.0, "second", 1), (1.0, "first", 0), (1.0, "third", 1))
         assert order == ["first", "second", "third"]
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
-        assert queue.peek_time() == pytest.approx(2.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
-
-    def test_empty_queue_behaviour(self):
-        queue = EventQueue()
-        assert queue.pop() is None
-        assert queue.peek_time() is None
-        assert not queue
-
-    def test_queue_with_only_cancelled_events_is_falsy(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert not queue
-        assert len(queue) == 0
+            DiscreteEventEngine().schedule_at(-1.0, lambda: None)
 
     def test_release_fires_before_acquire_at_equal_time(self):
         # The shared tie-break convention: capacity freed at time t must be
         # visible to an acquisition at the same t, regardless of which event
         # was scheduled first.
-        from repro.simulation import PRIORITY_ACQUIRE, PRIORITY_RELEASE
-
         assert PRIORITY_RELEASE < PRIORITY_ACQUIRE
-        queue = EventQueue()
-        order = []
-        queue.push(2.0, lambda: order.append("acquire"), priority=PRIORITY_ACQUIRE)
-        queue.push(2.0, lambda: order.append("release"), priority=PRIORITY_RELEASE)
-        while queue:
-            queue.pop().action()
+        order = run_in_order(
+            (2.0, "acquire", PRIORITY_ACQUIRE), (2.0, "release", PRIORITY_RELEASE)
+        )
         assert order == ["release", "acquire"]
 
 
@@ -100,14 +74,6 @@ class TestDiscreteEventEngine:
         engine.run()
         assert seen == [4.0]
 
-    def test_until_stops_early(self):
-        engine = DiscreteEventEngine()
-        fired = []
-        engine.schedule_at(10.0, lambda: fired.append(True))
-        end = engine.run(until=5.0)
-        assert fired == []
-        assert end == pytest.approx(5.0)
-
     def test_scheduling_in_the_past_rejected(self):
         engine = DiscreteEventEngine()
         engine.schedule_at(5.0, lambda: engine.schedule_at(1.0, lambda: None))
@@ -127,49 +93,6 @@ class TestDiscreteEventEngine:
         engine.schedule_at(0.0, loop)
         with pytest.raises(SimulationError):
             engine.run(max_events=100)
-
-    def test_reset(self):
-        engine = DiscreteEventEngine()
-        engine.schedule_at(1.0, lambda: None)
-        engine.run()
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.processed_events == 0
-
-
-class TestUtilisationTracker:
-    def test_busy_time_and_utilisation(self):
-        tracker = UtilisationTracker()
-        tracker.add_busy_interval("core0", 0.0, 5.0)
-        tracker.add_busy_interval("core0", 10.0, 15.0)
-        assert tracker.busy_time("core0") == pytest.approx(10.0)
-        assert tracker.activations("core0") == 2
-        assert tracker.utilisation("core0", 20.0) == pytest.approx(0.5)
-
-    def test_unknown_resource_is_idle(self):
-        tracker = UtilisationTracker()
-        assert tracker.busy_time("ghost") == 0.0
-        assert tracker.utilisation("ghost", 10.0) == 0.0
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            UtilisationTracker().add_busy_interval("x", 5.0, 1.0)
-
-    def test_oversubscription_is_reported_not_clamped(self):
-        # A resource busy 15 time units over a 10-unit horizon is
-        # oversubscribed; the raw fraction must surface it, not hide it at 1.0.
-        tracker = UtilisationTracker()
-        tracker.add_busy_interval("x", 0.0, 10.0)
-        tracker.add_busy_interval("x", 5.0, 10.0)
-        assert tracker.utilisation("x", 10.0) == pytest.approx(1.5)
-        assert tracker.is_oversubscribed("x", 10.0)
-        assert not tracker.is_oversubscribed("x", 20.0)
-
-    def test_fully_busy_resource_is_not_oversubscribed(self):
-        tracker = UtilisationTracker()
-        tracker.add_busy_interval("x", 0.0, 10.0)
-        assert tracker.utilisation("x", 10.0) == pytest.approx(1.0)
-        assert not tracker.is_oversubscribed("x", 10.0)
 
 
 class TestOnocSimulator:

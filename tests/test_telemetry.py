@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -303,6 +304,31 @@ class TestMetricsEndpoint:
         # Queue series: the enqueue counter and the scrape-time depth gauge.
         assert "repro_jobs_enqueued_total 1" in text
         assert "repro_jobs_queued 1" in text
+
+    def test_put_and_patch_answer_the_json_404_and_are_counted(self):
+        server = create_server(MemoryStore(), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            for method in ("PUT", "PATCH"):
+                request = urllib.request.Request(f"{base}/api/v1/jobs", method=method)
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                assert excinfo.value.code == 404
+                assert "application/json" in excinfo.value.headers["Content-Type"]
+                envelope = json.loads(excinfo.value.read())
+                assert envelope["status"] == 404 and method in envelope["error"]
+            with urllib.request.urlopen(f"{base}/metrics") as response:
+                text = response.read().decode("utf-8")
+        finally:
+            server.shutdown()
+            server.server_close()
+        for method in ("PUT", "PATCH"):
+            assert (
+                f'repro_http_requests_total{{method="{method}",route="/api/v1/jobs",'
+                f'status="404"}} 1' in text
+            )
 
     def test_access_log_line_is_structured_and_quietable(self, capsys):
         store = MemoryStore()

@@ -16,7 +16,9 @@ are dominated by every valid solution but still recombine — which keeps the
 search alive in tightly constrained instances (few wavelengths).
 
 The engine is *vectorized*: the population lives as one ``(population,
-genome)`` uint8 matrix, the genetic operators act on whole matrices, and
+genome)`` uint8 matrix, the genetic operators act on whole matrices and take
+each generation's random draws from one raw block of the generator's words
+(replayed in the historical per-pair order, so the stream is unchanged), and
 objective evaluation runs through the
 :class:`~repro.allocation.batch.BatchEvaluator` with a byte-fingerprint memo
 that skips chromosomes already evaluated earlier in the run.  Selection builds
@@ -26,7 +28,8 @@ next generation's tournament sort.  The test-suite replays the same
 operators and random stream through the readable scalar
 :class:`~repro.allocation.objectives.AllocationEvaluator` and the pure-Python
 selection oracles (``tests/oracles.py``) to pin down batch/scalar
-determinism.
+determinism, and holds the raw-block operators to the per-pair ``Generator``
+calls they replace (``PerPairNsga2`` there).
 
 The optimiser also keeps the run-wide books the paper reports in Table II:
 every *unique valid* chromosome ever evaluated, and the Pareto front across all
@@ -242,6 +245,128 @@ class _ValidSolutions(Mapping[Tuple[int, ...], AllocationSolution]):
 
     def __len__(self) -> int:
         return self._archive.valid_count
+
+
+#: ``2**-53``: ``Generator.random`` returns the top 53 bits of a word times this.
+_DOUBLE_STEP = 1.0 / 9007199254740992.0
+_LOW_HALF = 0xFFFFFFFF
+_HALF_SPAN = 1 << 32
+
+
+class _RawDraws:
+    """``Generator.integers(0, n)`` and ``Generator.random()`` replayed from raw words.
+
+    The optimiser's generator is ``np.random.default_rng``, whose bit generator
+    is PCG64, so both draws are plain arithmetic on its raw 64-bit words:
+
+    * a double is ``(word >> 11) * 2**-53`` of one fresh word;
+    * ``integers(0, n)`` for ``1 < n <= 2**32`` is Lemire's method on 32-bit
+      words: ``m = w32 * n``, redrawn while ``m & 0xFFFFFFFF`` is below
+      ``(2**32 - n) % n``, giving ``m >> 32``; ``n == 1`` draws nothing;
+    * 32-bit words come from PCG64's one-word buffer: a fresh word serves its
+      low half and keeps the high half (``has_uint32`` / ``uinteger``) for the
+      next 32-bit draw, across calls; doubles never touch it.
+
+    One ``random_raw`` block serves a whole generation and grows when the walk
+    runs past its end (rejections, or a short estimate).  :meth:`close` leaves
+    the generator exactly where per-call draws would have: at the consumed
+    word, with the same buffer fields.
+    """
+
+    __slots__ = (
+        "_bit_generator", "_saved", "_raw", "_position", "_has_half", "_half",
+        "_below", "_hits", "_counts",
+    )
+
+    def __init__(self, generator: np.random.Generator, estimate: int) -> None:
+        self._bit_generator = generator.bit_generator
+        self._saved = self._bit_generator.state
+        self._has_half = self._saved["has_uint32"]
+        self._half = self._saved["uinteger"]
+        self._raw = self._bit_generator.random_raw(max(estimate, 1))
+        self._position = 0
+        #: The probability ``_hits`` (each word's double below it) and
+        #: ``_counts`` (their running count) were built for; ``None`` until
+        #: they cover the current block.
+        self._below: Optional[float] = None
+
+    def _extend(self, count: int) -> None:
+        more = self._bit_generator.random_raw(max(count, len(self._raw)))
+        self._raw = np.concatenate([self._raw, more])
+        self._below = None
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        position = self._position
+        if position == len(self._raw):
+            self._extend(1)
+        self._position = position + 1
+        return (self._raw.item(position) >> 11) * _DOUBLE_STEP
+
+    def integers(self, n: int, count: int) -> List[int]:
+        """``Generator.integers(0, n, size=count)`` as a list, for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return [0] * count
+        values: List[int] = []
+        raw = self._raw
+        has_half, half, position = self._has_half, self._half, self._position
+        for _ in range(count):
+            while True:
+                if has_half:
+                    has_half = 0
+                    word = half
+                else:
+                    if position == len(raw):
+                        self._extend(1)
+                        raw = self._raw
+                    word = raw.item(position)
+                    position += 1
+                    has_half = 1
+                    half = word >> 32
+                    word &= _LOW_HALF
+                product = word * n
+                leftover = product & _LOW_HALF
+                if leftover >= n or leftover >= (_HALF_SPAN - n) % n:
+                    break
+            values.append(product >> 32)
+        self._has_half, self._half, self._position = has_half, half, position
+        return values
+
+    def _mask(self, probability: float) -> None:
+        if self._below != probability:
+            self._hits = (self._raw >> np.uint64(11)) * _DOUBLE_STEP < probability
+            self._counts = np.concatenate(([0], np.cumsum(self._hits)))
+            self._below = probability
+
+    def random_row(self, length: int, probability: float) -> Tuple[int, bool]:
+        """Skip ``Generator.random(length)``.
+
+        Returns the row's start in the block and whether any of its doubles
+        is below ``probability``.
+        """
+        start = self._position
+        stop = start + length
+        if stop > len(self._raw):
+            self._extend(stop - len(self._raw))
+        self._mask(probability)
+        self._position = stop
+        return start, self._counts.item(stop) != self._counts.item(start)
+
+    def rows_below(self, starts: Sequence[int], length: int, probability: float) -> np.ndarray:
+        """``Generator.random(length) < probability`` of the rows at ``starts``, as one matrix."""
+        self._mask(probability)
+        return self._hits[np.asarray(starts, dtype=np.intp)[:, None] + np.arange(length)]
+
+    def close(self) -> None:
+        """Leave the generator where per-call draws would have left it."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._saved
+        bit_generator.advance(self._position)
+        # ``advance`` clears the 32-bit buffer; put back the one the walk left.
+        state = bit_generator.state
+        state["has_uint32"] = self._has_half
+        state["uinteger"] = self._half
+        bit_generator.state = state
 
 
 class Nsga2Optimizer:
@@ -495,8 +620,8 @@ class Nsga2Optimizer:
 
     def _rank_and_distance(
         self, objectives: np.ndarray, dominated: Optional[np.ndarray]
-    ) -> Tuple[List[int], List[float]]:
-        """Tournament keys of every row, as Python lists.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Tournament keys of every row: front rank and crowding distance.
 
         ``dominated`` is the rows' domination matrix when the previous
         environmental selection already built it.
@@ -515,7 +640,7 @@ class Nsga2Optimizer:
                 indices = np.asarray(front_indices, dtype=int)
                 rank[indices] = front_position
                 distance[indices] = crowding_distance(keyed[indices])
-        return rank.tolist(), distance.tolist()
+        return rank, distance
 
     def _environmental_selection(
         self, objectives: np.ndarray
@@ -561,11 +686,16 @@ class Nsga2Optimizer:
     ) -> np.ndarray:
         """One generation of offspring on population matrices.
 
-        The random draws happen pair by pair in exactly the sequence the
-        historical chromosome-at-a-time implementation used, so a fixed seed
-        reproduces the same populations it produced; the gene work itself
-        (segment swaps, bit flips) is applied to whole matrices at once.
-        ``dominated`` is the population's domination matrix, when known.
+        Every random draw comes from one raw block (:class:`_RawDraws`),
+        walked in exactly the per-pair order of the historical
+        chromosome-at-a-time implementation: per pair, both tournaments'
+        contenders, the crossover coin, the two cut points when it passes,
+        then each child's flip row and, when the row flips nothing, one forced
+        flip.  The generator ends where those per-call draws would have left
+        it, so a fixed seed reproduces the same populations.  Tournament
+        winners, segment swaps and bit flips are then decided on whole
+        matrices.  ``dominated`` is the population's domination matrix, when
+        known.
         """
         rank, distance = self._rank_and_distance(objectives, dominated)
         with timed_span(
@@ -574,63 +704,60 @@ class Nsga2Optimizer:
             registry=self._metrics,
             phase="operator",
         ):
-            target = self._parameters.population_size
-            pair_count = (target + 1) // 2
-            winners = np.empty(2 * pair_count, dtype=int)
-            swap_bounds = np.zeros((pair_count, 2), dtype=int)
-            flip_rows: List[np.ndarray] = []
-            probability = self._parameters.mutation_probability
+            parameters = self._parameters
+            size = parameters.population_size
+            genome = self._genome
+            tournament = parameters.tournament_size
+            crossover = parameters.crossover_probability
+            mutation = parameters.mutation_probability
+            pairs = size // 2
+            row = genome if mutation > 0.0 else 0
+            # Words of every draw unless Lemire rejects one: per pair at most
+            # tournament + 2 words of 32-bit draws, one coin and two flip rows.
+            draws = _RawDraws(self._rng, pairs * (tournament + 3 + 2 * row))
+            contenders: List[int] = []
+            swap_bounds: List[Sequence[int]] = [(0, 0)] * pairs
+            starts: List[int] = []
+            forced_rows: List[int] = []
+            forced_genes: List[int] = []
+            for pair in range(pairs):
+                contenders += draws.integers(size, 2 * tournament)
+                if draws.random() < crossover:
+                    swap_bounds[pair] = sorted(draws.integers(genome, 2))
+                if row:
+                    for child in (2 * pair, 2 * pair + 1):
+                        start, flipped = draws.random_row(row, mutation)
+                        starts.append(start)
+                        if not flipped:
+                            # The paper's mutation always inverts one randomly chosen point.
+                            forced_rows.append(child)
+                            forced_genes += draws.integers(genome, 1)
+            draws.close()
 
-            produced = 0
-            for pair in range(pair_count):
-                winners[2 * pair] = self._tournament(rank, distance)
-                winners[2 * pair + 1] = self._tournament(rank, distance)
-                if self._rng.random() < self._parameters.crossover_probability:
-                    lower, upper = sorted(
-                        self._rng.integers(0, self._genome, size=2)
-                    )
-                    swap_bounds[pair] = (lower, upper)
-                for _ in range(min(2, target - produced)):
-                    flip_rows.append(self._draw_flips(probability))
-                    produced += 1
+            # Tournaments: fold each contender column in draw order into the
+            # winners, on (rank, crowding distance) with first-come ties.
+            columns = np.array(contenders, dtype=np.intp).reshape(size, tournament).T
+            winners = columns[0]
+            for contender in columns[1:]:
+                better = (rank[contender] < rank[winners]) | (
+                    (rank[contender] == rank[winners])
+                    & (distance[contender] > distance[winners])
+                )
+                winners = np.where(better, contender, winners)
 
             parents_a = population[winners[0::2]]
             parents_b = population[winners[1::2]]
-            positions = np.arange(self._genome)[None, :]
-            swap = (positions >= swap_bounds[:, 0:1]) & (
-                positions < swap_bounds[:, 1:2]
-            )
-            offspring = np.empty((2 * pair_count, self._genome), dtype=np.uint8)
+            bounds = np.array(swap_bounds, dtype=np.intp)
+            positions = np.arange(genome)[None, :]
+            swap = (positions >= bounds[:, 0:1]) & (positions < bounds[:, 1:2])
+            offspring = np.empty((size, genome), dtype=np.uint8)
             offspring[0::2] = np.where(swap, parents_b, parents_a)
             offspring[1::2] = np.where(swap, parents_a, parents_b)
-            offspring = offspring[:target]
-            if flip_rows and probability > 0.0:
-                flips = np.stack(flip_rows)
-                offspring = np.where(flips, 1 - offspring, offspring).astype(np.uint8)
-        return np.ascontiguousarray(offspring)
-
-    def _tournament(self, rank: List[int], distance: List[float]) -> int:
-        """Binary (or larger) tournament on (rank, crowding distance)."""
-        contenders = self._rng.integers(
-            0, len(rank), size=self._parameters.tournament_size
-        ).tolist()
-        best = contenders[0]
-        for contender in contenders[1:]:
-            if rank[contender] < rank[best]:
-                best = contender
-            elif rank[contender] == rank[best] and distance[contender] > distance[best]:
-                best = contender
-        return best
-
-    def _draw_flips(self, probability: float) -> np.ndarray:
-        """Mutation mask of one offspring row (always at least one flip)."""
-        if probability <= 0.0:
-            return np.zeros(self._genome, dtype=bool)
-        flips = self._rng.random(self._genome) < probability
-        if not flips.any():
-            # The paper's mutation always inverts one randomly chosen point.
-            flips[self._rng.integers(0, self._genome)] = True
-        return flips
+            if row:
+                flips = draws.rows_below(starts, row, mutation)
+                flips[forced_rows, forced_genes] = True
+                offspring ^= flips
+        return offspring
 
     def _record(
         self,

@@ -43,6 +43,11 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise TaskGraphError("a task needs a non-empty name")
+        if isinstance(self.execution_cycles, bool):
+            raise TaskGraphError(
+                f"task {self.name}: execution time must be a number, "
+                f"got {self.execution_cycles!r}"
+            )
         if not 0.0 <= self.execution_cycles < math.inf:
             raise TaskGraphError(
                 f"task {self.name}: execution time must be finite and non-negative"
@@ -73,6 +78,10 @@ class CommunicationEdge:
             raise TaskGraphError("edge index must be non-negative")
         if self.source == self.destination:
             raise TaskGraphError(f"edge c{self.index}: a task cannot send data to itself")
+        if isinstance(self.volume_bits, bool):
+            raise TaskGraphError(
+                f"edge c{self.index}: volume must be a number, got {self.volume_bits!r}"
+            )
         if not 0.0 < self.volume_bits < math.inf:
             raise TaskGraphError(f"edge c{self.index}: volume must be finite and positive")
 

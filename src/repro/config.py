@@ -31,6 +31,7 @@ __all__ = [
     "GeneticParameters",
     "OnocConfiguration",
     "is_count",
+    "is_real",
 ]
 
 
@@ -46,6 +47,15 @@ def is_count(value: object) -> bool:
     run silently under a fingerprint of its own.
     """
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """An ``int`` or ``float`` and not a ``bool``: the rule every real-valued setting follows.
+
+    ``float()`` would turn ``true`` into 1.0 and ``"0.5"`` into 0.5, and
+    raise a bare ``ValueError`` or ``TypeError`` on ``"abc"`` or ``null``.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

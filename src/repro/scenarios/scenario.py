@@ -45,6 +45,7 @@ from ..config import (
     PhotonicParameters,
     TimingParameters,
     is_count,
+    is_real,
 )
 from ..errors import ConfigurationError, ScenarioError
 
@@ -116,9 +117,7 @@ class VerificationSettings:
         )
         # A boolean or an infinite tolerance would let a diverging replay pass.
         _require(
-            isinstance(self.tolerance, (int, float))
-            and not isinstance(self.tolerance, bool)
-            and 0.0 <= self.tolerance < math.inf,
+            is_real(self.tolerance) and 0.0 <= self.tolerance < math.inf,
             f"verification 'tolerance' must be a finite non-negative number, "
             f"got {self.tolerance!r}",
         )
@@ -189,8 +188,9 @@ class TrafficSettings:
             _require(isinstance(value, dict), f"traffic {attribute!r} must be an object")
             object.__setattr__(self, attribute, dict(value))
         _require(
-            0.0 <= float(self.warmup_fraction) < 1.0,
-            "traffic 'warmup_fraction' must be in [0, 1)",
+            is_real(self.warmup_fraction) and 0.0 <= self.warmup_fraction < 1.0,
+            f"traffic 'warmup_fraction' must be a number in [0, 1), "
+            f"got {self.warmup_fraction!r}",
         )
         object.__setattr__(self, "warmup_fraction", float(self.warmup_fraction))
 

@@ -12,6 +12,11 @@ Nothing under ``src/`` imports this module.  It holds:
   :meth:`~repro.allocation.objectives.AllocationEvaluator.evaluate`, selecting
   through the Python kernels and growing the run-wide front by sequential
   :meth:`~repro.allocation.pareto.ParetoFront.add` calls.
+* :class:`PerPairNsga2`, the NSGA-II run with the historical per-pair
+  operators: every tournament, crossover coin, cut pair and flip row is its
+  own ``Generator`` call.  It defines the random stream the raw-block
+  operators of :meth:`~repro.allocation.nsga2.Nsga2Optimizer._make_offspring`
+  must replay: the same offspring and the same generator state afterwards.
 * :func:`heap_traffic_replay`, the dynamic-traffic replay through the
   discrete-event engine's heap: every arrival is scheduled up front and each
   admitted request schedules its own departure.  It defines the event order
@@ -27,13 +32,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.allocation import Chromosome, Nsga2Optimizer, ParetoFront, nsga2
+from repro.allocation.nsga2 import PHASE_METRIC
 from repro.allocation.objectives import AllocationSolution
 from repro.allocation.pareto import _INF_CLAMP, dominates
 from repro.errors import TrafficError
 from repro.simulation.engine import PRIORITY_ACQUIRE, PRIORITY_RELEASE, DiscreteEventEngine
+from repro.telemetry import timed_span
 from repro.traffic.simulator import BlockingReport, wilson_interval
 
 __all__ = [
+    "PerPairNsga2",
     "ScalarNsga2Replay",
     "crowding_distance_python",
     "heap_traffic_replay",
@@ -171,6 +179,100 @@ class ScalarNsga2Replay(Nsga2Optimizer):
             for row in newcomers.tolist():
                 front.add(row, archive.objectives[row, self._objective_columns])
         return archive.objectives[[archive.rows[key] for key in keys]]
+
+
+class PerPairNsga2(Nsga2Optimizer):
+    """NSGA-II whose operators draw pair by pair from the ``Generator``.
+
+    ``_make_offspring``, ``_tournament`` and ``_draw_flips`` are the
+    operator code the optimiser ran before it replayed one raw block per
+    generation; the tournaments read their keys as Python lists, as they did.
+    """
+
+    def _rank_and_distance(
+        self, objectives: np.ndarray, dominated: Optional[np.ndarray]
+    ) -> Tuple[List[int], List[float]]:
+        rank, distance = super()._rank_and_distance(objectives, dominated)
+        return rank.tolist(), distance.tolist()
+
+    def _make_offspring(
+        self,
+        population: np.ndarray,
+        objectives: np.ndarray,
+        dominated: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """One generation of offspring on population matrices.
+
+        The random draws happen pair by pair in exactly the sequence the
+        historical chromosome-at-a-time implementation used, so a fixed seed
+        reproduces the same populations it produced; the gene work itself
+        (segment swaps, bit flips) is applied to whole matrices at once.
+        ``dominated`` is the population's domination matrix, when known.
+        """
+        rank, distance = self._rank_and_distance(objectives, dominated)
+        with timed_span(
+            "engine.operator",
+            metric=PHASE_METRIC,
+            registry=self._metrics,
+            phase="operator",
+        ):
+            target = self._parameters.population_size
+            pair_count = (target + 1) // 2
+            winners = np.empty(2 * pair_count, dtype=int)
+            swap_bounds = np.zeros((pair_count, 2), dtype=int)
+            flip_rows: List[np.ndarray] = []
+            probability = self._parameters.mutation_probability
+
+            produced = 0
+            for pair in range(pair_count):
+                winners[2 * pair] = self._tournament(rank, distance)
+                winners[2 * pair + 1] = self._tournament(rank, distance)
+                if self._rng.random() < self._parameters.crossover_probability:
+                    lower, upper = sorted(
+                        self._rng.integers(0, self._genome, size=2)
+                    )
+                    swap_bounds[pair] = (lower, upper)
+                for _ in range(min(2, target - produced)):
+                    flip_rows.append(self._draw_flips(probability))
+                    produced += 1
+
+            parents_a = population[winners[0::2]]
+            parents_b = population[winners[1::2]]
+            positions = np.arange(self._genome)[None, :]
+            swap = (positions >= swap_bounds[:, 0:1]) & (
+                positions < swap_bounds[:, 1:2]
+            )
+            offspring = np.empty((2 * pair_count, self._genome), dtype=np.uint8)
+            offspring[0::2] = np.where(swap, parents_b, parents_a)
+            offspring[1::2] = np.where(swap, parents_a, parents_b)
+            offspring = offspring[:target]
+            if flip_rows and probability > 0.0:
+                flips = np.stack(flip_rows)
+                offspring = np.where(flips, 1 - offspring, offspring).astype(np.uint8)
+        return np.ascontiguousarray(offspring)
+
+    def _tournament(self, rank: List[int], distance: List[float]) -> int:
+        """Binary (or larger) tournament on (rank, crowding distance)."""
+        contenders = self._rng.integers(
+            0, len(rank), size=self._parameters.tournament_size
+        ).tolist()
+        best = contenders[0]
+        for contender in contenders[1:]:
+            if rank[contender] < rank[best]:
+                best = contender
+            elif rank[contender] == rank[best] and distance[contender] > distance[best]:
+                best = contender
+        return best
+
+    def _draw_flips(self, probability: float) -> np.ndarray:
+        """Mutation mask of one offspring row (always at least one flip)."""
+        if probability <= 0.0:
+            return np.zeros(self._genome, dtype=bool)
+        flips = self._rng.random(self._genome) < probability
+        if not flips.any():
+            # The paper's mutation always inverts one randomly chosen point.
+            flips[self._rng.integers(0, self._genome)] = True
+        return flips
 
 
 def heap_traffic_replay(

@@ -82,6 +82,18 @@ class TestConstruction:
             diamond.add_communication("B", "C", volume)
         assert diamond.communication_count == 4
 
+    @pytest.mark.parametrize("cycles", [True, False])
+    def test_boolean_execution_time_rejected(self, cycles):
+        # True would pass the range check as 1 cycle.
+        with pytest.raises(TaskGraphError, match="must be a number"):
+            TaskGraph().add_task("bad", cycles)
+
+    @pytest.mark.parametrize("volume", [True, False])
+    def test_boolean_volume_rejected(self, diamond, volume):
+        with pytest.raises(TaskGraphError, match="must be a number"):
+            diamond.add_communication("B", "C", volume)
+        assert diamond.communication_count == 4
+
 
 class TestAccess:
     def test_edges_keep_insertion_order(self, diamond):

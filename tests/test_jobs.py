@@ -77,6 +77,17 @@ def scenario_document(genetic=None, **fields) -> dict:
     return document
 
 
+def traffic_document(**settings) -> dict:
+    """The small traffic scenario's document with ``settings`` written into its traffic block.
+
+    Like :func:`scenario_document`, such a document reaches a queue only as
+    a row written before the checks that refuse it existed.
+    """
+    document = traffic_scenario().to_dict()
+    document["traffic"] = dict(document["traffic"], **settings)
+    return document
+
+
 def pipeline_scenario(**workload_options) -> Scenario:
     """A 4-stage pipeline on the default mapping with ``workload_options`` added."""
     return smoke_scenario(
@@ -300,6 +311,30 @@ UNRUNNABLE = {
     "exhaustive_batch_size": (
         lambda: smoke_scenario(optimizer="exhaustive", optimizer_options={"batch_size": "abc"}),
         "ScenarioError: unknown options for optimizer 'exhaustive': ['batch_size']",
+    ),
+    "boolean_execution_cycles": (
+        lambda: pipeline_scenario(execution_cycles=True),
+        "TaskGraphError: task S0: execution time must be a number, got True",
+    ),
+    "boolean_volume_bits": (
+        lambda: pipeline_scenario(volume_bits=True),
+        "TaskGraphError: edge c0: volume must be a number, got True",
+    ),
+    "boolean_warmup_fraction": (
+        lambda: traffic_document(warmup_fraction=False),
+        "ScenarioError: traffic 'warmup_fraction' must be a number in [0, 1), got False",
+    ),
+    "string_warmup_fraction": (
+        lambda: traffic_document(warmup_fraction="0.5"),
+        "ScenarioError: traffic 'warmup_fraction' must be a number in [0, 1), got '0.5'",
+    ),
+    "text_warmup_fraction": (
+        lambda: traffic_document(warmup_fraction="abc"),
+        "ScenarioError: traffic 'warmup_fraction' must be a number in [0, 1), got 'abc'",
+    ),
+    "null_warmup_fraction": (
+        lambda: traffic_document(warmup_fraction=None),
+        "ScenarioError: traffic 'warmup_fraction' must be a number in [0, 1), got None",
     ),
 }
 
@@ -1060,6 +1095,10 @@ class TestJobsHttpApi:
             "fractional_generations",
             "string_wavelength_count",
             "fractional_verification_parallel",
+            "boolean_warmup_fraction",
+            "string_warmup_fraction",
+            "text_warmup_fraction",
+            "null_warmup_fraction",
         ],
     )
     def test_documents_the_checks_refuse_are_400(self, api, route, case):
@@ -1219,11 +1258,14 @@ class TestJobsCli:
     @pytest.mark.parametrize(
         "case",
         [
+            "boolean_execution_cycles",
             "boolean_generations",
             "boolean_pillar",
             "boolean_request_count",
             "boolean_verification_parallel",
             "boolean_verification_tolerance",
+            "boolean_volume_bits",
+            "boolean_warmup_fraction",
             "boolean_wavelength_count",
             "crossing_loss_string",
             "exhaustive_batch_size",
@@ -1245,15 +1287,18 @@ class TestJobsCli:
             "nan_volume_bits",
             "negative_quality_factor",
             "non_integer_model_seed",
+            "null_warmup_fraction",
             "pipeline_beyond_the_cores",
             "population_below_four",
             "random_infeasible_target",
             "random_single_task",
             "string_verification_parallel",
+            "string_warmup_fraction",
             "string_wavelength_count",
             "sweep_not_a_list",
             "sweep_of_strings",
             "target_counts_string",
+            "text_warmup_fraction",
             "trace_event_missing_key",
             "trace_file_missing",
             "unknown_topology_option",

@@ -152,6 +152,39 @@ class TestScenarioRoundTrip:
         document = dict(Scenario().to_dict(), verification=settings)
         assert Scenario.from_dict(document).fingerprint() == fingerprint
 
+    @staticmethod
+    def traffic_document(**warmup) -> dict:
+        traffic = {
+            "model": "poisson",
+            "model_options": {"offered_load_erlangs": 8.0, "request_count": 1000},
+            **warmup,
+        }
+        return {"optimizer": {"name": "dynamic_rwa", "options": {}}, "traffic": traffic}
+
+    @pytest.mark.parametrize(
+        "warmup", [False, True, "0.5", "abc", None, math.nan, math.inf, 1.0, -0.1]
+    )
+    def test_warmup_fraction_typos_are_refused_not_coerced(self, warmup):
+        # float(False) is 0.0 and float("0.5") is 0.5: coercion would run a
+        # typo; float("abc") and float(None) would escape as ValueError and
+        # TypeError instead of a document error.
+        with pytest.raises(ScenarioError, match="traffic 'warmup_fraction'"):
+            Scenario.from_dict(self.traffic_document(warmup_fraction=warmup))
+
+    @pytest.mark.parametrize(
+        "warmup, fingerprint",
+        [
+            ({}, "b154af3877605402"),
+            ({"warmup_fraction": 0}, "81e79ff3341c6014"),
+            ({"warmup_fraction": 0.0}, "81e79ff3341c6014"),
+            ({"warmup_fraction": 0.5}, "2c147f7316cdb3a2"),
+        ],
+    )
+    def test_valid_warmup_fractions_keep_their_fingerprints(self, warmup, fingerprint):
+        scenario = Scenario.from_dict(self.traffic_document(**warmup))
+        assert scenario.fingerprint() == fingerprint
+        assert type(scenario.traffic.warmup_fraction) is float
+
 
 class TestScenarioBuilder:
     def test_builder_matches_explicit_construction(self):

@@ -10,6 +10,12 @@ fixed input so host speed cancels out:
   :meth:`AllocationEvaluator.evaluate` row by row: at least 5x on a
   population of 64 paper chromosomes.
 
+A third ratio, measured the same way, gates the GA operators: one
+generation's offspring from the raw-block walk of
+:meth:`Nsga2Optimizer._make_offspring` against the per-pair ``Generator``
+calls of ``tests/oracles.py`` (``PerPairNsga2``), at least 2x on a 400-row
+NW 8 population, rank and crowding included on both sides.
+
 One absolute floor gates the dynamic-traffic simulator: at least 5 000
 events/s on a 20 000-request Poisson run on the 4x4 ring with 4 wavelengths.
 The engine runs at tens of thousands of events/s; the quadratic event-queue
@@ -32,8 +38,14 @@ from typing import Callable
 
 import numpy as np
 
-from oracles import crowding_distance_python, non_dominated_sort_python
-from repro.allocation import AllocationEvaluator, crowding_distance, non_dominated_sort
+from oracles import PerPairNsga2, crowding_distance_python, non_dominated_sort_python
+from repro.allocation import (
+    AllocationEvaluator,
+    Nsga2Optimizer,
+    crowding_distance,
+    dominance_matrix,
+    non_dominated_sort,
+)
 from repro.application import paper_mapping, paper_task_graph
 from repro.config import GeneticParameters
 from repro.scenarios import Scenario, Study
@@ -46,6 +58,9 @@ MIN_SELECTION_SPEEDUP = 10.0
 
 #: Minimum batch/scalar evaluation speedup at population 64.
 MIN_EVALUATION_SPEEDUP = 5.0
+
+#: Minimum raw-block/per-pair offspring speedup at population 400.
+MIN_OPERATOR_SPEEDUP = 2.0
 
 #: Minimum events/second of the dynamic-traffic simulator.
 MIN_TRAFFIC_EVENTS_PER_SECOND = 5_000.0
@@ -124,6 +139,29 @@ def test_batch_evaluation_beats_the_scalar_evaluator_fivefold():
     batch_rate = ops_per_second(lambda: batch.evaluate_population(tensor), 0.5)
     speedup = batch_rate / scalar_rate
     assert speedup >= MIN_EVALUATION_SPEEDUP, (scalar_rate, batch_rate)
+
+
+def test_raw_block_operators_beat_the_per_pair_draws_twofold():
+    architecture = build_topology("ring", 4, 4, wavelength_count=8)
+    evaluator = AllocationEvaluator(
+        architecture, paper_task_graph(), paper_mapping(architecture)
+    )
+    parameters = GeneticParameters(population_size=400, generations=1, seed=2017)
+    production = Nsga2Optimizer(evaluator, parameters)
+    oracle = PerPairNsga2(evaluator, parameters)
+    population = production._initial_population_matrix()
+    objectives = evaluator.batch().evaluate_population(population).objective_matrix()
+    # The run hands each generation the survivors' domination matrix.
+    dominated = dominance_matrix(objectives)
+
+    oracle_rate = ops_per_second(
+        lambda: oracle._make_offspring(population, objectives, dominated), 0.5
+    )
+    production_rate = ops_per_second(
+        lambda: production._make_offspring(population, objectives, dominated), 0.5
+    )
+    speedup = production_rate / oracle_rate
+    assert speedup >= MIN_OPERATOR_SPEEDUP, (oracle_rate, production_rate)
 
 
 def test_traffic_simulator_keeps_its_events_per_second_floor():

@@ -1196,6 +1196,8 @@ def _command_submit(args: argparse.Namespace) -> int:
 def _command_work(args: argparse.Namespace) -> int:
     if args.concurrency < 1:
         raise ReproError(f"--concurrency must be >= 1 (got {args.concurrency})")
+    if args.concurrency > 1 and args.worker_id is not None:
+        raise ReproError(f"--worker-id names one worker, not --concurrency {args.concurrency}")
     worker_options = {
         "lease_seconds": args.lease_seconds,
         "poll_interval": args.poll_interval,
@@ -1240,6 +1242,8 @@ def _command_work(args: argparse.Namespace) -> int:
 def _command_jobs(args: argparse.Namespace) -> int:
     if (args.store is None) == (args.url is None):
         raise ReproError("jobs needs exactly one of --store or --url")
+    if args.limit is not None and args.limit < 0:
+        raise ReproError(f"--limit must be >= 0 (got {args.limit})")
     if args.action in {"status", "cancel", "requeue"} and not args.job_id:
         raise ReproError(f"jobs {args.action} needs a job id")
     if args.url:

@@ -103,7 +103,10 @@ class VerificationSettings:
     :class:`~repro.simulation.verify.SimulationVerifier` after the search:
     the replay must be conflict-free and its makespan must agree with the
     analytical execution time within ``tolerance`` (relative).  ``parallel``
-    worker processes fan out the replays of large fronts (0 = serial).
+    has no effect: the replays run in the executing process, each in about a
+    quarter of a millisecond, less than a worker process costs to start.  It
+    is still checked (a non-negative integer) and serialised, because it is
+    part of every fingerprint written with it.
     """
 
     simulate: bool = False
@@ -615,7 +618,11 @@ class ScenarioBuilder:
         tolerance: float = VerificationSettings.tolerance,
         parallel: int = VerificationSettings.parallel,
     ) -> "ScenarioBuilder":
-        """Enable simulation-in-the-loop verification of the optimizer output."""
+        """Enable simulation-in-the-loop verification of the optimizer output.
+
+        ``parallel`` is recorded in the document and has no effect (see
+        :class:`VerificationSettings`).
+        """
         self._fields["verification"] = VerificationSettings(
             simulate=simulate, tolerance=tolerance, parallel=parallel
         )

@@ -261,12 +261,9 @@ def execute_scenario(
         verification: Optional[VerificationReport] = None
         settings = scenario.verification
         if settings.simulate:
-            verifier = SimulationVerifier.from_evaluator(
+            verification = SimulationVerifier.from_evaluator(
                 evaluator, tolerance=settings.tolerance
-            )
-            verification = verifier.verify_solutions(
-                result.pareto_solutions, parallel=settings.parallel
-            )
+            ).verify_solutions(result.pareto_solutions)
     get_registry().counter("repro_scenario_executions_total", kind="static").inc()
     outcome = ScenarioOutcome(
         scenario=scenario,

@@ -12,9 +12,9 @@ solution a search reports is replayed, and the replay must
 * reach a **makespan that agrees** with the analytical
   ``execution_time_kcycles`` within a configurable relative tolerance.
 
-:class:`SimulationVerifier` performs the replays (optionally across worker
-processes for large solution sets), :class:`SolutionVerification` records one
-solution's outcome and :class:`VerificationReport` aggregates a whole front.
+:class:`SimulationVerifier` performs the replays, one after another in the
+calling process, :class:`SolutionVerification` records one solution's outcome
+and :class:`VerificationReport` aggregates a whole front.
 The :mod:`repro.scenarios` layer runs a verifier automatically when a
 scenario's ``verification`` block enables it.
 """
@@ -22,7 +22,6 @@ scenario's ``verification`` block enables it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -197,17 +196,6 @@ class VerificationReport:
         )
 
 
-def _replay_chunk(
-    verifier: "SimulationVerifier",
-    chunk: Sequence[Tuple[Sequence[Sequence[int]], float, str]],
-) -> List[SolutionVerification]:
-    """Process-pool worker: replay a chunk of (allocation, analytical, label)."""
-    return [
-        verifier.verify_allocation(allocation, analytical, label=label)
-        for allocation, analytical, label in chunk
-    ]
-
-
 class SimulationVerifier:
     """Replays solutions through :class:`OnocSimulator` and checks the outcome.
 
@@ -221,10 +209,6 @@ class SimulationVerifier:
         Relative tolerance on the simulated-vs-analytical makespan.
     """
 
-    #: Solution-count threshold below which parallel replay is never worth the
-    #: process start-up cost.
-    PARALLEL_THRESHOLD = 8
-
     def __init__(
         self,
         architecture: OnocTopology,
@@ -235,13 +219,9 @@ class SimulationVerifier:
     ) -> None:
         if tolerance < 0.0:
             raise SimulationError("the verification tolerance must be non-negative")
-        self._architecture = architecture
-        self._task_graph = task_graph
-        self._mapping = mapping
-        self._configuration = configuration or architecture.configuration
         self._tolerance = float(tolerance)
         self._simulator = OnocSimulator(
-            architecture, task_graph, mapping, configuration=self._configuration
+            architecture, task_graph, mapping, configuration=configuration
         )
 
     @classmethod
@@ -303,50 +283,14 @@ class SimulationVerifier:
         )
 
     def verify_solutions(
-        self,
-        solutions: Sequence[AllocationSolution],
-        parallel: Optional[int] = None,
+        self, solutions: Sequence[AllocationSolution]
     ) -> VerificationReport:
-        """Replay a whole solution set (e.g. a Pareto front).
+        """Replay a whole solution set (e.g. a Pareto front), in order.
 
-        Parameters
-        ----------
-        solutions:
-            The evaluated solutions to replay, in reporting order.
-        parallel:
-            Number of worker processes.  ``None``, 0 or 1 replay serially;
-            larger values fan the replays out over a
-            :class:`~concurrent.futures.ProcessPoolExecutor` in contiguous
-            chunks (order is preserved).  Small sets always run serially —
-            below :attr:`PARALLEL_THRESHOLD` solutions the process start-up
-            cost dominates.
+        Every replay runs in the calling process: one costs about a quarter
+        of a millisecond, less than starting a worker process and pickling
+        the verifier to it.
         """
-        items = [
-            (
-                solution.chromosome.allocation(),
-                solution.objectives.execution_time_kcycles,
-                solution.allocation_summary,
-            )
-            for solution in solutions
-        ]
-        workers = 0 if parallel is None else int(parallel)
-        if workers > 1 and len(items) >= self.PARALLEL_THRESHOLD:
-            workers = min(workers, len(items))
-            chunks = [items[index::workers] for index in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(_replay_chunk, self, chunk) for chunk in chunks
-                ]
-                partials = [future.result() for future in futures]
-            # Undo the round-robin striping so results keep solution order.
-            verifications: List[Optional[SolutionVerification]] = [None] * len(items)
-            for stripe, partial in enumerate(partials):
-                for offset, verification in enumerate(partial):
-                    verifications[stripe + offset * workers] = verification
-            return VerificationReport(verifications=tuple(verifications))
         return VerificationReport(
-            verifications=tuple(
-                self.verify_allocation(allocation, analytical, label=label)
-                for allocation, analytical, label in items
-            )
+            verifications=tuple(self.verify_solution(solution) for solution in solutions)
         )

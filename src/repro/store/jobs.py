@@ -36,7 +36,8 @@ import uuid
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import JobError, StoreError
+from ..config import is_count
+from ..errors import JobError, ScenarioError, StoreError
 from ..telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (study imports us)
@@ -128,8 +129,6 @@ def scenarios_from_submission(payload: Any) -> Tuple[Optional[str], List["Scenar
             study = Study.from_dict(payload)
             return study.name, study.scenarios
         return None, [Scenario.from_dict(payload)]
-    from ..errors import ScenarioError
-
     raise ScenarioError(
         "a job submission must be a scenario document, a study document or "
         f"an array of scenario documents, got {type(payload).__name__}"
@@ -403,7 +402,18 @@ class SqlJobQueue:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         study: Optional[str] = None,
     ) -> Job:
-        """Validate and append one scenario job; returns the queued job."""
+        """Validate and append one scenario job; returns the queued job.
+
+        The one check of the job options, whatever the transport: ``priority``
+        must be an integer and ``max_attempts`` an integer of at least 1,
+        else :class:`~repro.errors.ScenarioError`.
+        """
+        if not is_count(priority):
+            raise ScenarioError(f"priority must be an integer, got {priority!r}")
+        if not (is_count(max_attempts) and max_attempts >= 1):
+            raise ScenarioError(
+                f"max_attempts must be an integer of at least 1, got {max_attempts!r}"
+            )
         fingerprint, document = _scenario_document(scenario)
         now = time.time()
         job_id = new_job_id()
@@ -419,9 +429,9 @@ class SqlJobQueue:
                     job_id,
                     fingerprint,
                     json.dumps(document),
-                    int(priority),
+                    priority,
                     study,
-                    max(1, int(max_attempts)),
+                    max_attempts,
                     now,
                     now,
                     now,

@@ -11,7 +11,9 @@ Pareto front by fingerprint once the job is done.  (``POST
 /api/v1/scenarios`` remains the dry-run: it only *fingerprints* the document
 and reports whether a result is already cached.)
 
-Endpoints (all JSON):
+Endpoints (all JSON but ``/metrics``).  Each is one row of :data:`ROUTES`,
+the table the server dispatches from, labels its metrics from and lists at
+``GET /``:
 
 ====================================  =========================================
 ``GET  /``                            service banner + endpoint list
@@ -31,6 +33,14 @@ Endpoints (all JSON):
 ``POST /api/v1/jobs/<id>/requeue``    reset a done/failed/dead job to queued
 ``DELETE /api/v1/jobs/<id>``          cancel a still-queued job
 ====================================  =========================================
+
+Path segments are percent-decoded before they are matched, so a study
+recorded as ``my study`` answers at ``/api/v1/studies/my%20study`` and one
+recorded as ``a/b`` at ``/api/v1/studies/a%2Fb``.  ``GET /api/v1/jobs``
+answers 400 for a ``?state=`` that is not a job state or a ``?limit=`` that
+is not a non-negative integer.  The job options of ``POST /api/v1/jobs``
+are checked by the queue's ``enqueue``, the write path ``repro submit``
+shares, so both refuse the same values with the same message.
 
 Every error path answers with the same JSON envelope
 (``{"error": ..., "status": ...}``): expected conditions map to
@@ -61,15 +71,14 @@ import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..config import is_count
 from ..errors import JobError, ReproError, ScenarioError, StoreError
 from ..scenarios.scenario import Scenario
 from ..scenarios.study import ScenarioResult
 from ..telemetry import Stopwatch, get_registry, render_prometheus
 from ..telemetry.prometheus import CONTENT_TYPE as _METRICS_CONTENT_TYPE
-from .jobs import DEFAULT_MAX_ATTEMPTS, Job, enqueue_submission
+from .jobs import JOB_STATES, Job, enqueue_submission
 from .sqlite import ResultStore, decode_result
 
 __all__ = ["StoreHTTPServer", "create_server", "serve"]
@@ -91,24 +100,6 @@ SERVED_MEMO_ENTRIES = 256
 STOP_POLL_SECONDS = 0.1
 
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
-
-_ENDPOINTS = [
-    "GET  /metrics",
-    "GET  /api/v1/health",
-    "GET  /api/v1/stats",
-    "GET  /api/v1/results",
-    "GET  /api/v1/results/<fingerprint>",
-    "GET  /api/v1/results/<fingerprint>/pareto",
-    "GET  /api/v1/results/<fingerprint>/verification",
-    "GET  /api/v1/studies",
-    "GET  /api/v1/studies/<name>",
-    "POST /api/v1/scenarios",
-    "POST /api/v1/jobs",
-    "GET  /api/v1/jobs",
-    "GET  /api/v1/jobs/<id>",
-    "POST /api/v1/jobs/<id>/requeue",
-    "DELETE /api/v1/jobs/<id>",
-]
 
 
 class _RequestError(Exception):
@@ -257,37 +248,16 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message, "status": status}, status=status)
 
-    def _segments(self) -> List[str]:
-        path = urlsplit(self.path).path
-        return [segment for segment in path.split("/") if segment]
-
-    def _result_or_404(self, fingerprint: str) -> Optional[ScenarioResult]:
-        # peek + touch, not get(): the service is an archive, so it answers
-        # rows regardless of get()'s version freshness policy — while still
-        # counting the usage (hits + recency) so LRU gc never evicts what is
-        # actively being served.
-        result = self.server.store.peek(fingerprint)
-        if result is None:
-            self._send_error_json(
-                404, f"no result stored under fingerprint {fingerprint!r}"
-            )
-            return None
-        self.server.store.touch(fingerprint)
-        return result
-
-    def _send_stored(self, fingerprint: str, pareto: bool) -> None:
+    def _send_stored(self, fingerprint: str, pareto: bool = False) -> None:
         """``/results/<fp>`` or its ``/pareto`` from the stored JSON text.
 
-        Like :meth:`_result_or_404` this counts as usage (touch) and ignores
+        Like :meth:`_verification` this counts as usage (touch) and ignores
         the version policy; the text is validated before it is touched.
         """
         store = self.server.store
         text = store.document(fingerprint)
         if text is None:
-            self._send_error_json(
-                404, f"no result stored under fingerprint {fingerprint!r}"
-            )
-            return
+            raise _RequestError(404, f"no result stored under fingerprint {fingerprint!r}")
         data = text.encode("utf-8")
         served = self.server.served(fingerprint, text, data)
         store.touch(fingerprint)
@@ -324,14 +294,31 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ScenarioError(f"request body is not valid JSON: {error}") from None
 
-    # -------------------------------------------------------------------- routes
-    def _dispatch(self, route: Callable[[], None]) -> None:
-        """Run a router; every failure mode becomes the JSON error envelope.
+    def _known_job(self, job_id: str) -> Job:
+        job = self.server.store.job(job_id)
+        if job is None:
+            raise _RequestError(404, f"no job {job_id!r} in the queue")
+        return job
 
-        Expected conditions keep their specific status codes (malformed
-        documents 400, bad transitions 409, oversized bodies 413, store
-        trouble 500); anything uncaught is a 500 envelope rather than a raw
-        traceback on the wire.
+    def _job_payload(self, job: Job) -> Dict[str, Any]:
+        """A job document plus navigation URLs and the cached/result state."""
+        payload = job.to_dict()
+        payload["job_url"] = f"{API_PREFIX}/jobs/{job.id}"
+        payload["result_url"] = f"{API_PREFIX}/results/{job.fingerprint}"
+        payload["pareto_url"] = f"{API_PREFIX}/results/{job.fingerprint}/pareto"
+        payload["result_cached"] = job.fingerprint in self.server.store
+        return payload
+
+    # ------------------------------------------------------------------ dispatch
+    def _dispatch(self) -> None:
+        """Answer one request from :data:`ROUTES`, whatever its method.
+
+        A path no row takes answers 404: ``no {METHOD} route`` when no row
+        has the method, else ``unknown path``.  Every failure mode becomes
+        the JSON error envelope: expected conditions keep their specific
+        status codes (malformed requests 400, bad transitions 409, oversized
+        bodies 413, store trouble 500); anything uncaught is a 500 envelope
+        rather than a raw traceback on the wire.
 
         Every request — success or envelope — books one
         ``repro_http_requests_total{method,route,status}`` increment, one
@@ -339,9 +326,15 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         server is quiet) one structured access-log line.
         """
         self._response_status = 0
+        route = _UNKNOWN_ROUTE
         with Stopwatch() as watch:
             try:
-                route()
+                route, handler, params = _match(self.command, urlsplit(self.path).path)
+                if handler is None:
+                    if self.command in _ROUTED_METHODS:
+                        raise _RequestError(404, f"unknown path {self.path!r}")
+                    raise _RequestError(404, f"no {self.command} route for {self.path!r}")
+                handler(self, *params)
             except _RequestError as error:
                 self._send_error_json(error.status, str(error))
             except ScenarioError as error:
@@ -360,17 +353,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
                 except (BrokenPipeError, ConnectionError):  # pragma: no cover
                     pass
         status = self._response_status
-        route_label = self._route_label()
         registry = get_registry()
         registry.counter(
-            "repro_http_requests_total",
-            method=self.command,
-            route=route_label,
-            status=status,
+            "repro_http_requests_total", method=self.command, route=route, status=status
         ).inc()
-        registry.histogram(
-            "repro_http_request_seconds", route=route_label
-        ).observe(watch.elapsed)
+        registry.histogram("repro_http_request_seconds", route=route).observe(watch.elapsed)
         self.log_message(
             "%s %s status=%d duration_ms=%.1f",
             self.command,
@@ -379,36 +366,24 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             watch.elapsed * 1000.0,
         )
 
-    def _route_label(self) -> str:
-        """A low-cardinality route template for metric labels."""
-        segments = self._segments()
-        if not segments:
-            return "/"
-        if segments == ["metrics"]:
-            return "/metrics"
-        if segments[:2] != ["api", "v1"] or len(segments) == 2:
-            return "<unknown>"
-        route = segments[2:]
-        head = route[0]
-        if len(route) == 1 and head in (
-            "health", "stats", "scenarios", "results", "jobs", "studies"
-        ):
-            return f"{API_PREFIX}/{head}"
-        if head == "results" and len(route) == 2:
-            return f"{API_PREFIX}/results/<fingerprint>"
-        if head == "results" and len(route) == 3 and route[2] in (
-            "pareto", "verification"
-        ):
-            return f"{API_PREFIX}/results/<fingerprint>/{route[2]}"
-        if head == "jobs" and len(route) == 2:
-            return f"{API_PREFIX}/jobs/<id>"
-        if head == "jobs" and len(route) == 3 and route[2] == "requeue":
-            return f"{API_PREFIX}/jobs/<id>/requeue"
-        if head == "studies" and len(route) == 2:
-            return f"{API_PREFIX}/studies/<name>"
-        return "<unknown>"
+    # ``HEAD`` keeps the standard library's bodiless 501.
+    do_GET = do_POST = do_DELETE = do_PUT = do_PATCH = _dispatch  # noqa: N815 - http.server API
 
-    def _send_metrics(self) -> None:
+    # -------------------------------------------------------------------- routes
+    def _index(self) -> None:
+        store = self.server.store
+        self._send_json(
+            {
+                "service": "repro result store",
+                "backend": store.backend_name,
+                "path": store.location,
+                "endpoints": [
+                    f"{method:<4} {template}" for method, template, _ in ROUTES[1:]
+                ],
+            }
+        )
+
+    def _metrics(self) -> None:
         """``GET /metrics``: the global registry in Prometheus text format.
 
         Store/queue state (entry counts, queue depth, per-state totals ...)
@@ -424,195 +399,89 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         body = render_prometheus(get_registry(), extra).encode("utf-8")
         self._send_body(body, content_type=_METRICS_CONTENT_TYPE)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._route_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._route_delete)
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._route_none)
-
-    do_PATCH = do_PUT
-
-    def _route_none(self) -> None:
-        self._send_error_json(404, f"no {self.command} route for {self.path!r}")
-
-    def _route_get(self) -> None:
+    def _health(self) -> None:
         store = self.server.store
-        segments = self._segments()
-        if not segments:
-            self._send_json(
-                {
-                    "service": "repro result store",
-                    "backend": store.backend_name,
-                    "path": store.location,
-                    "endpoints": _ENDPOINTS,
-                }
-            )
-            return
-        if segments == ["metrics"]:
-            self._send_metrics()
-            return
-        if segments[:2] != ["api", "v1"]:
-            self._send_error_json(404, f"unknown path {self.path!r}")
-            return
-        route = segments[2:]
-        if route == ["health"]:
-            self._send_json(
-                {"status": "ok", "backend": store.backend_name, "entries": len(store)}
-            )
-        elif route == ["stats"]:
-            self._send_json(store.stats())
-        elif route == ["results"]:
-            self._send_json({"results": store.rows()})
-        elif len(route) == 2 and route[0] == "results":
-            self._send_stored(route[1], pareto=False)
-        elif len(route) == 3 and route[0] == "results" and route[2] == "pareto":
-            self._send_stored(route[1], pareto=True)
-        elif len(route) == 3 and route[0] == "results" and route[2] == "verification":
-            result = self._result_or_404(route[1])
-            if result is not None:
-                self._send_json(
-                    {
-                        "fingerprint": result.fingerprint,
-                        "verified": result.verified,
-                        "sim_conflicts": result.sim_conflicts,
-                        "sim_divergences": result.sim_divergences,
-                        "sim_max_divergence_kcycles": result.sim_max_divergence_kcycles,
-                        "verification_rows": [
-                            dict(row) for row in result.verification_rows
-                        ],
-                    }
-                )
-        elif route == ["jobs"]:
-            query = parse_qs(urlsplit(self.path).query)
-            state = query.get("state", [None])[0]
-            limit_text = query.get("limit", [None])[0]
-            try:
-                limit = None if limit_text is None else int(limit_text)
-            except ValueError:
-                self._send_error_json(400, f"limit must be an integer, got {limit_text!r}")
-                return
-            jobs = store.jobs(state=state, limit=limit)
-            self._send_json(
-                {
-                    "jobs": [self._job_payload(job) for job in jobs],
-                    "stats": store.jobs_stats(),
-                }
-            )
-        elif len(route) == 2 and route[0] == "jobs":
-            job = store.job(route[1])
-            if job is None:
-                self._send_error_json(404, f"no job {route[1]!r} in the queue")
-                return
-            self._send_json(self._job_payload(job))
-        elif route == ["studies"]:
-            self._send_json({"studies": store.studies()})
-        elif len(route) == 2 and route[0] == "studies":
-            studies = store.studies()
-            if route[1] not in studies:
-                self._send_error_json(404, f"no study recorded as {route[1]!r}")
-                return
-            fingerprints = studies[route[1]]
-            rows = []
-            for fingerprint in fingerprints:
-                result = store.peek(fingerprint)
-                if result is not None:
-                    rows.append(result.summary_row())
-            self._send_json(
-                {"study": route[1], "fingerprints": fingerprints, "results": rows}
-            )
-        else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
+        self._send_json(
+            {"status": "ok", "backend": store.backend_name, "entries": len(store)}
+        )
 
-    def _route_post(self) -> None:
-        segments = self._segments()
-        route = segments[2:] if segments[:2] == ["api", "v1"] else None
-        if route == ["scenarios"]:
-            payload = self._read_body_json()
-            try:
-                scenario = Scenario.from_dict(payload)
-            except ScenarioError as error:
-                self._send_error_json(400, f"invalid scenario document: {error}")
-                return
-            fingerprint = scenario.fingerprint()
-            cached = fingerprint in self.server.store
-            self._send_json(
-                {
-                    "fingerprint": fingerprint,
-                    "cached": cached,
-                    "result_url": f"{API_PREFIX}/results/{fingerprint}",
-                    "pareto_url": f"{API_PREFIX}/results/{fingerprint}/pareto",
-                }
-            )
-        elif route == ["jobs"]:
-            self._submit_jobs(self._read_body_json())
-        elif route is not None and len(route) == 3 and route[0] == "jobs" and route[2] == "requeue":
-            if self.server.store.job(route[1]) is None:
-                self._send_error_json(404, f"no job {route[1]!r} in the queue")
-                return
-            job = self.server.store.requeue(route[1])
-            self._send_json(self._job_payload(job))
-        else:
-            self._send_error_json(404, f"unknown path {self.path!r}")
+    def _stats(self) -> None:
+        self._send_json(self.server.store.stats())
 
-    def _route_delete(self) -> None:
-        segments = self._segments()
-        if len(segments) == 4 and segments[:3] == ["api", "v1", "jobs"]:
-            store = self.server.store
-            job_id = segments[3]
-            if store.cancel(job_id):
-                self._send_json({"id": job_id, "cancelled": True})
-                return
-            job = store.job(job_id)
-            if job is None:
-                self._send_error_json(404, f"no job {job_id!r} in the queue")
-            else:
-                self._send_error_json(
-                    409,
-                    f"job {job_id!r} is {job.state!r}; only queued jobs can be "
-                    f"cancelled (use POST .../requeue to reset finished jobs)",
-                )
-            return
-        self._send_error_json(404, f"unknown path {self.path!r}")
+    def _results(self) -> None:
+        self._send_json({"results": self.server.store.rows()})
 
-    # ---------------------------------------------------------------- job plumbing
-    def _submit_jobs(self, payload: Any) -> None:
+    def _pareto(self, fingerprint: str) -> None:
+        self._send_stored(fingerprint, pareto=True)
+
+    def _verification(self, fingerprint: str) -> None:
+        # peek + touch, not get(): the service is an archive, so it answers
+        # rows regardless of get()'s version freshness policy — while still
+        # counting the usage (hits + recency) so LRU gc never evicts what is
+        # actively being served.
+        store = self.server.store
+        result = store.peek(fingerprint)
+        if result is None:
+            raise _RequestError(404, f"no result stored under fingerprint {fingerprint!r}")
+        store.touch(fingerprint)
+        self._send_json(
+            {
+                "fingerprint": result.fingerprint,
+                "verified": result.verified,
+                "sim_conflicts": result.sim_conflicts,
+                "sim_divergences": result.sim_divergences,
+                "sim_max_divergence_kcycles": result.sim_max_divergence_kcycles,
+                "verification_rows": [dict(row) for row in result.verification_rows],
+            }
+        )
+
+    def _studies(self) -> None:
+        self._send_json({"studies": self.server.store.studies()})
+
+    def _study(self, name: str) -> None:
+        store = self.server.store
+        fingerprints = store.studies().get(name)
+        if fingerprints is None:
+            raise _RequestError(404, f"no study recorded as {name!r}")
+        results = (store.peek(fingerprint) for fingerprint in fingerprints)
+        rows = [result.summary_row() for result in results if result is not None]
+        self._send_json({"study": name, "fingerprints": fingerprints, "results": rows})
+
+    def _fingerprint(self) -> None:
+        """``POST /scenarios``: fingerprint a document and say if it is cached."""
+        try:
+            scenario = Scenario.from_dict(self._read_body_json())
+        except ScenarioError as error:
+            raise _RequestError(400, f"invalid scenario document: {error}") from None
+        fingerprint = scenario.fingerprint()
+        self._send_json(
+            {
+                "fingerprint": fingerprint,
+                "cached": fingerprint in self.server.store,
+                "result_url": f"{API_PREFIX}/results/{fingerprint}",
+                "pareto_url": f"{API_PREFIX}/results/{fingerprint}/pareto",
+            }
+        )
+
+    def _submit_jobs(self) -> None:
         """``POST /jobs``: enqueue one job per unique submitted scenario.
 
         The body may be a bare scenario document, a study document, an array
         of scenario documents, or any of those wrapped as ``{"scenario": ...,
-        "priority": ..., "max_attempts": ..., "study": ...}``.
+        "priority": ..., "max_attempts": ..., "study": ...}``; the queue's
+        ``enqueue`` checks the options.
         """
-        priority = 0
-        max_attempts = DEFAULT_MAX_ATTEMPTS
-        study_override: Optional[str] = None
+        payload = self._read_body_json()
+        options: Dict[str, Any] = {}
         # The option wrapper is keyed "scenario"; a dict with "scenarios" is a
         # study document and goes through scenarios_from_submission whole, so
         # its name is preserved.
         if isinstance(payload, dict) and "scenario" in payload:
-            priority = payload.get("priority", priority)
-            max_attempts = payload.get("max_attempts", max_attempts)
-            if not is_count(priority):
-                raise _RequestError(400, f"priority must be an integer, got {priority!r}")
-            if not (is_count(max_attempts) and max_attempts >= 1):
-                raise _RequestError(
-                    400, f"max_attempts must be an integer of at least 1, got {max_attempts!r}"
-                )
+            options = {key: payload[key] for key in ("priority", "max_attempts") if key in payload}
             if payload.get("study") is not None:
-                study_override = str(payload["study"])
+                options["study"] = str(payload["study"])
             payload = payload["scenario"]
-        study_name, jobs = enqueue_submission(
-            self.server.store,
-            payload,
-            priority=priority,
-            max_attempts=max_attempts,
-            study=study_override,
-        )
+        study_name, jobs = enqueue_submission(self.server.store, payload, **options)
         self._send_json(
             {
                 "jobs": [self._job_payload(job) for job in jobs],
@@ -622,14 +491,108 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             status=201,
         )
 
-    def _job_payload(self, job: Job) -> Dict[str, Any]:
-        """A job document plus navigation URLs and the cached/result state."""
-        payload = job.to_dict()
-        payload["job_url"] = f"{API_PREFIX}/jobs/{job.id}"
-        payload["result_url"] = f"{API_PREFIX}/results/{job.fingerprint}"
-        payload["pareto_url"] = f"{API_PREFIX}/results/{job.fingerprint}/pareto"
-        payload["result_cached"] = job.fingerprint in self.server.store
-        return payload
+    def _jobs(self) -> None:
+        """``GET /jobs``: the listing; ``?state=`` and ``?limit=`` are checked first."""
+        query = parse_qs(urlsplit(self.path).query)
+        state = query.get("state", [None])[0]
+        limit = query.get("limit", [None])[0]
+        if state is not None and state not in JOB_STATES:
+            raise _RequestError(
+                400, f"state must be one of {', '.join(JOB_STATES)}, got {state!r}"
+            )
+        if limit is not None and not (limit.isascii() and limit.isdigit()):
+            raise _RequestError(400, f"limit must be a non-negative integer, got {limit!r}")
+        store = self.server.store
+        jobs = store.jobs(state=state, limit=None if limit is None else int(limit))
+        self._send_json(
+            {"jobs": [self._job_payload(job) for job in jobs], "stats": store.jobs_stats()}
+        )
+
+    def _job(self, job_id: str) -> None:
+        self._send_json(self._job_payload(self._known_job(job_id)))
+
+    def _requeue(self, job_id: str) -> None:
+        self._known_job(job_id)
+        self._send_json(self._job_payload(self.server.store.requeue(job_id)))
+
+    def _cancel(self, job_id: str) -> None:
+        if self.server.store.cancel(job_id):
+            self._send_json({"id": job_id, "cancelled": True})
+            return
+        job = self._known_job(job_id)
+        raise _RequestError(
+            409,
+            f"job {job_id!r} is {job.state!r}; only queued jobs can be "
+            f"cancelled (use POST .../requeue to reset finished jobs)",
+        )
+
+
+_Handler = Callable[..., None]
+
+#: Every route, one row each: ``(method, template, handler)``.  ``GET /``
+#: lists the rows after its own.  A ``<...>`` segment matches any one
+#: percent-decoded path segment, handed to the handler in order.
+ROUTES: Tuple[Tuple[str, str, _Handler], ...] = (
+    ("GET", "/", _StoreRequestHandler._index),
+    ("GET", "/metrics", _StoreRequestHandler._metrics),
+    ("GET", "/api/v1/health", _StoreRequestHandler._health),
+    ("GET", "/api/v1/stats", _StoreRequestHandler._stats),
+    ("GET", "/api/v1/results", _StoreRequestHandler._results),
+    ("GET", "/api/v1/results/<fingerprint>", _StoreRequestHandler._send_stored),
+    ("GET", "/api/v1/results/<fingerprint>/pareto", _StoreRequestHandler._pareto),
+    ("GET", "/api/v1/results/<fingerprint>/verification", _StoreRequestHandler._verification),
+    ("GET", "/api/v1/studies", _StoreRequestHandler._studies),
+    ("GET", "/api/v1/studies/<name>", _StoreRequestHandler._study),
+    ("POST", "/api/v1/scenarios", _StoreRequestHandler._fingerprint),
+    ("POST", "/api/v1/jobs", _StoreRequestHandler._submit_jobs),
+    ("GET", "/api/v1/jobs", _StoreRequestHandler._jobs),
+    ("GET", "/api/v1/jobs/<id>", _StoreRequestHandler._job),
+    ("POST", "/api/v1/jobs/<id>/requeue", _StoreRequestHandler._requeue),
+    ("DELETE", "/api/v1/jobs/<id>", _StoreRequestHandler._cancel),
+)
+
+#: :data:`ROUTES` with each template split once into its segments; a
+#: ``<...>`` segment is ``None``.
+_TABLE = tuple(
+    (
+        method,
+        template,
+        handler,
+        tuple(None if part.startswith("<") else part for part in template.split("/") if part),
+    )
+    for method, template, handler in ROUTES
+)
+
+_ROUTED_METHODS = frozenset(method for method, _, _ in ROUTES)
+
+#: The metric label of a path no template matches.
+_UNKNOWN_ROUTE = "<unknown>"
+
+
+def _match(method: str, path: str) -> Tuple[str, Optional[_Handler], List[str]]:
+    """``(route label, handler, path parameters)`` of one request.
+
+    The label is the first template that matches the percent-decoded path
+    under any method (:data:`_UNKNOWN_ROUTE` when none does); the handler is
+    that of the row with ``method`` too, or ``None``.
+    """
+    segments = [unquote(segment) for segment in path.split("/") if segment]
+    label: Optional[str] = None
+    for row_method, template, handler, parts in _TABLE:
+        if len(parts) != len(segments):
+            continue
+        params: List[str] = []
+        for part, segment in zip(parts, segments):
+            if part is None:
+                params.append(segment)
+            elif part != segment:
+                break
+        else:
+            if label is None:
+                label = template
+            if row_method == method:
+                return label, handler, params
+    return label or _UNKNOWN_ROUTE, None, []
 
 
 def create_server(

@@ -133,9 +133,10 @@ class Worker:
         lease by dying (or wedging) for longer than the lease.
     poll_interval:
         Sleep between claim attempts when the queue is empty.
-    backoff_base / backoff_factor / backoff_cap:
-        Exponential retry delay for transient failures
-        (:func:`~repro.store.jobs.backoff_seconds`).
+    backoff_base:
+        Base of the exponential retry delay for transient failures
+        (:func:`~repro.store.jobs.backoff_seconds`, doubling per attempt up
+        to a minute).
     stop:
         Optional externally-shared event (any object with ``is_set``/``wait``/
         ``set`` — a :class:`threading.Event` or a multiprocessing event);
@@ -149,8 +150,6 @@ class Worker:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         poll_interval: float = 0.2,
         backoff_base: float = 1.0,
-        backoff_factor: float = 2.0,
-        backoff_cap: float = 60.0,
         stop: Optional[Any] = None,
     ) -> None:
         self.store = store
@@ -158,8 +157,6 @@ class Worker:
         self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_cap = float(backoff_cap)
         self._stop = threading.Event() if stop is None else stop
         self._stop_requested = False
         self.stats = WorkerStats()
@@ -252,9 +249,7 @@ class Worker:
                 return
 
     def _record_failure(self, job: Job, error: BaseException, retryable: bool) -> Job:
-        delay = backoff_seconds(
-            job.attempts, self.backoff_base, self.backoff_factor, self.backoff_cap
-        )
+        delay = backoff_seconds(job.attempts, self.backoff_base)
         message = f"{type(error).__name__}: {error}"
         try:
             failed = self.store.fail(

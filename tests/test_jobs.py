@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sqlite3
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +25,13 @@ import repro
 
 from repro.config import GeneticParameters
 from repro.errors import JobError, ScenarioError, StoreError
-from repro.scenarios import Scenario, Study, TrafficSettings, execute_scenario
+from repro.scenarios import (
+    Scenario,
+    Study,
+    TrafficSettings,
+    VerificationSettings,
+    execute_scenario,
+)
 from repro.store import (
     JOB_STATES,
     Job,
@@ -416,6 +424,33 @@ class TestQueueSemantics:
             queue.enqueue({"schema": "repro.scenario/1", "no_such_key": 1})
         with pytest.raises(JobError):
             queue.enqueue(42)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"max_attempts": 0}, "max_attempts must be an integer of at least 1, got 0"),
+            ({"max_attempts": -4}, "max_attempts must be an integer of at least 1, got -4"),
+            ({"max_attempts": 2.5}, "max_attempts must be an integer of at least 1, got 2.5"),
+            ({"max_attempts": True}, "max_attempts must be an integer of at least 1, got True"),
+            ({"priority": 2.5}, "priority must be an integer, got 2.5"),
+            ({"priority": "2"}, "priority must be an integer, got '2'"),
+            ({"priority": False}, "priority must be an integer, got False"),
+        ],
+        ids=[
+            "zero_attempts",
+            "negative_attempts",
+            "fractional_attempts",
+            "boolean_attempts",
+            "fractional_priority",
+            "string_priority",
+            "boolean_priority",
+        ],
+    )
+    def test_enqueue_refuses_options_that_are_not_counts(self, queue, options, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            queue.enqueue(smoke_scenario(), **options)
+        assert str(excinfo.value) == message
+        assert queue.jobs() == []
 
     def test_claim_is_fifo_within_a_priority(self, queue):
         first = queue.enqueue(smoke_scenario(name="a"))
@@ -894,6 +929,25 @@ class TestWorker:
         with pytest.raises(JobError):
             WorkerPool(str(tmp_path / "q.sqlite"), concurrency=0)
 
+    def test_worker_pool_runs_verified_jobs(self, tmp_path):
+        # Replays run in the worker's own process: a pool child is a daemon
+        # and may start no processes of its own.
+        path = tmp_path / "pool.sqlite"
+        scenario = smoke_scenario(
+            name="pool-verified",
+            verification=VerificationSettings(simulate=True, parallel=2),
+        )
+        with ResultStore(path) as store:
+            job = store.enqueue(scenario)
+        stats = WorkerPool(str(path), 2, backoff_base=0.0).run(drain=True)
+        assert stats.completed == 1 and stats.dead == 0
+        with ResultStore(path) as store:
+            done = store.job(job.id)
+            assert done.state == "done" and done.attempts == 1, done.error
+            result = store.peek(job.fingerprint)
+        assert result is not None and result.verified
+        assert len(result.verification_rows) == result.pareto_size > 0
+
 
 # -------------------------------------------------------------- crash recovery
 _CRASH_CLAIMER = """
@@ -1083,9 +1137,20 @@ class TestJobsHttpApi:
         assert [job["id"] for job in reply["jobs"]] == [leased.id]
         assert reply["stats"]["leased"] == 1
         status, reply = _request("GET", f"{base}/api/v1/jobs?state=sideways")
-        assert status == 409 and "sideways" in reply["error"]
+        assert status == 400 and "sideways" in reply["error"]
         status, reply = _request("GET", f"{base}/api/v1/jobs?limit=zero")
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "query", ["state=sideways", "state=QUEUED", "limit=-3", "limit=2.5", "limit=zero"]
+    )
+    def test_listing_query_errors_are_400(self, api, query):
+        base, store = api
+        store.enqueue(smoke_scenario(name="listed"))
+        status, reply = _request("GET", f"{base}/api/v1/jobs?{query}")
+        assert status == 400 and reply["status"] == 400, reply
+        name, value = query.split("=")
+        assert reply["error"].startswith(f"{name} must be") and repr(value) in reply["error"]
 
     @pytest.mark.parametrize("route", ["jobs", "scenarios"])
     @pytest.mark.parametrize(
@@ -1245,6 +1310,32 @@ class TestJobsCli:
                 scenario.fingerprint() for scenario in scenarios
             ]
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_submit_into_a_store_refuses_max_attempts_below_one(
+        self, tmp_path, capsys, value
+    ):
+        from repro.cli import main
+
+        store_path = str(tmp_path / "q.sqlite")
+        argv = ["submit", self._scenario_file(tmp_path), "--store", store_path]
+        assert main(argv + ["--max-attempts", value]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith(
+            f"error: max_attempts must be an integer of at least 1, got {value}"
+        ), error
+        with ResultStore(store_path) as store:
+            assert store.jobs() == []
+
+    def test_work_refuses_a_worker_id_for_a_pool(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store_path = str(tmp_path / "q.sqlite")
+        argv = ["work", "--store", store_path, "--drain", "--worker-id", "alone"]
+        assert main(argv + ["--concurrency", "2"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: --worker-id names one worker"), error
+        assert "--concurrency 2" in error
+
     def test_study_enqueue_requires_a_store(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -1318,6 +1409,113 @@ class TestJobsCli:
         error = capsys.readouterr().err
         assert error.startswith("error: " + message.split(": ", 1)[1]), error
         assert "Traceback" not in error
+
+
+# ------------------------------------------------------------ cli over http
+@pytest.fixture()
+def served_queue(tmp_path, monkeypatch):
+    """A live server over a store file; yields (base_url, store_path, store).
+
+    The CLI's clock is frozen three days ahead, so the ``age`` column reads
+    the same whichever transport lists the jobs.
+    """
+    frozen = time.time() + 3 * 86400.0
+    monkeypatch.setattr("repro.cli.time", SimpleNamespace(time=lambda: frozen))
+    store_path = str(tmp_path / "served.sqlite")
+    store = ResultStore(store_path)
+    server = create_server(store, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", store_path, store
+    finally:
+        server.shutdown()
+        server.server_close()
+        store.close()
+
+
+def _as_target(output: str, url: str, store_path: str) -> str:
+    """``output`` with both targets named ``<target>`` (``at URL`` reads ``in``)."""
+    return (
+        output.replace(f" at {url}", f" in {url}")
+        .replace(url, "<target>")
+        .replace(store_path, "<target>")
+    )
+
+
+class TestJobsCliOverHttp:
+    """``--url`` prints what ``--store`` prints for the same queue."""
+
+    def test_submit(self, served_queue, tmp_path, capsys):
+        from repro.cli import main
+
+        url, store_path, store = served_queue
+        scenarios = [smoke_scenario(name="a"), smoke_scenario(name="b")]
+        document = tmp_path / "study.json"
+        document.write_text(json.dumps(Study(scenarios, name="doc-study").to_dict()))
+        options = ["--study", "my study", "--priority", "3"]
+        via_url = run_cli(capsys, "submit", str(document), "--url", url, *options)
+        via_store = run_cli(capsys, "submit", str(document), "--store", store_path, *options)
+        hint = f"run `repro work --store {store_path} --drain` to execute them\n"
+        assert via_store.endswith(hint)
+        url_jobs = re.findall(r"job-[0-9a-f]{12}", via_url)
+        store_jobs = re.findall(r"job-[0-9a-f]{12}", via_store)
+        assert len(url_jobs) == len(store_jobs) == 2
+        for url_job, store_job in zip(url_jobs, store_jobs):
+            via_store = via_store.replace(store_job, url_job)
+        assert _as_target(via_url, url, store_path) == _as_target(
+            via_store[: -len(hint)], url, store_path
+        )
+        assert "under study 'my study'" in via_url and "priority 3" in via_url
+        assert {(job.study, job.priority) for job in store.jobs()} == {("my study", 3)}
+        assert store.studies()["my study"] == [s.fingerprint() for s in scenarios]
+
+        assert main(["submit", str(document), "--url", url, "--max-attempts", "0"]) == 2
+        error = capsys.readouterr().err
+        assert "(400): max_attempts must be an integer of at least 1, got 0" in error
+        assert len(store.jobs()) == 4
+
+    def test_jobs(self, served_queue, capsys):
+        from repro.cli import main
+
+        url, store_path, store = served_queue
+        for priority in range(4):
+            store.enqueue(smoke_scenario(name=f"cli-{priority}"), priority=priority)
+        for _ in range(2):
+            store.fail(store.claim("w").id, "w", "boom", retryable=False)
+
+        def both(*argv: str):
+            via_url = run_cli(capsys, "jobs", *argv, "--url", url)
+            via_store = run_cli(capsys, "jobs", *argv, "--store", store_path)
+            return _as_target(via_url, url, store_path), _as_target(via_store, url, store_path)
+
+        for argv in (["ls"], ["ls", "--state", "failed"], ["ls", "--limit", "3"], ["stats"]):
+            via_url, via_store = both(*argv)
+            assert via_url == via_store, argv
+        assert "4 job(s) in <target>" in both("ls")[0]
+        for target in ("--url", url), ("--store", store_path):
+            assert main(["jobs", "ls", "--limit", "-3", *target]) == 2
+            assert capsys.readouterr().err == "error: --limit must be >= 0 (got -3)\n"
+
+        queued = store.jobs(state="queued")
+        via_url, via_store = both("status", queued[0].id)
+        via_url_document = json.loads(via_url)
+        # The HTTP job document adds its navigation fields.
+        assert via_url_document.pop("job_url") == f"/api/v1/jobs/{queued[0].id}"
+        assert {"result_url", "pareto_url", "result_cached"} <= set(via_url_document)
+        for key in ("result_url", "pareto_url", "result_cached"):
+            via_url_document.pop(key)
+        assert via_url_document == json.loads(via_store)
+
+        # cancel and requeue change the queue: each transport gets a job of its own.
+        failed = store.jobs(state="failed")
+        for action, (first, second) in (("cancel", queued), ("requeue", failed)):
+            via_url = run_cli(capsys, "jobs", action, first.id, "--url", url)
+            via_store = run_cli(capsys, "jobs", action, second.id, "--store", store_path)
+            assert via_url == via_store.replace(second.id, first.id), action
+        assert store.jobs_stats()["queued"] == 2 and store.jobs_stats()["failed"] == 0
+        via_url, via_store = both("ls")
+        assert via_url == via_store
 
 
 # ---------------------------------------------------------- graceful shutdown

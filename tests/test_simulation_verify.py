@@ -97,19 +97,6 @@ class TestSimulationVerifier:
         with pytest.raises(SimulationError):
             SimulationVerifier.from_evaluator(evaluator, tolerance=-1.0)
 
-    def test_parallel_replay_matches_serial(self):
-        evaluator = build_scenario_evaluator(verified_scenario())
-        verifier = SimulationVerifier.from_evaluator(evaluator)
-        solutions = [
-            first_fit_allocation(evaluator, count) for count in (1, 2, 3)
-        ] * 3
-        serial = verifier.verify_solutions(solutions)
-        parallel = verifier.verify_solutions(solutions, parallel=2)
-        assert serial.solutions_checked == len(solutions)
-        assert [item.to_dict() for item in serial] == [
-            item.to_dict() for item in parallel
-        ]
-
     def test_report_round_trip_and_aggregates(self):
         evaluator = build_scenario_evaluator(verified_scenario())
         verifier = SimulationVerifier.from_evaluator(evaluator)

@@ -580,15 +580,21 @@ def _serving(store):
         server.server_close()
 
 
-def _fetch(port: int, path: str) -> Tuple[int, bytes]:
-    """Status and raw body of one GET (error statuses included)."""
+def _call(port: int, method: str, path: str, body: Any = None) -> Tuple[int, bytes]:
+    """Status and raw body of one request of any method (errors included)."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
-        connection.request("GET", path)
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        connection.request(method, path, body=data)
         response = connection.getresponse()
         return response.status, response.read()
     finally:
         connection.close()
+
+
+def _fetch(port: int, path: str) -> Tuple[int, bytes]:
+    """Status and raw body of one GET (error statuses included)."""
+    return _call(port, "GET", path)
 
 
 def _pareto_document(result: ScenarioResult) -> Dict[str, Any]:
@@ -882,6 +888,144 @@ class TestHttpInputBounds:
             assert silent.recv(1) == b""
         status, _ = _get(port, f"/api/v1/results/{result.fingerprint}/pareto")
         assert status == 200
+
+
+# --------------------------------------------------------------- route table
+#: What ``GET /`` lists, one line per route after its own.
+INDEX_ENDPOINTS = [
+    "GET  /metrics",
+    "GET  /api/v1/health",
+    "GET  /api/v1/stats",
+    "GET  /api/v1/results",
+    "GET  /api/v1/results/<fingerprint>",
+    "GET  /api/v1/results/<fingerprint>/pareto",
+    "GET  /api/v1/results/<fingerprint>/verification",
+    "GET  /api/v1/studies",
+    "GET  /api/v1/studies/<name>",
+    "POST /api/v1/scenarios",
+    "POST /api/v1/jobs",
+    "GET  /api/v1/jobs",
+    "GET  /api/v1/jobs/<id>",
+    "POST /api/v1/jobs/<id>/requeue",
+    "DELETE /api/v1/jobs/<id>",
+]
+
+#: The ``route`` label each request books into ``repro_http_requests_total``.
+ROUTE_LABELS = [
+    ("GET", "/", "/"),
+    ("GET", "/metrics", "/metrics"),
+    ("GET", "/metrics/x", "<unknown>"),
+    ("GET", "/api", "<unknown>"),
+    ("GET", "/api/v1", "<unknown>"),
+    ("GET", "/api/v1/health", "/api/v1/health"),
+    ("GET", "/api/v1/health/", "/api/v1/health"),
+    ("GET", "/api/v1/health/x", "<unknown>"),
+    ("GET", "/api/v1/stats", "/api/v1/stats"),
+    ("GET", "/api/v1/scenarios", "/api/v1/scenarios"),
+    ("GET", "/api/v1/results", "/api/v1/results"),
+    ("GET", "/api/v1/results/abc", "/api/v1/results/<fingerprint>"),
+    ("GET", "/api/v1/results/health", "/api/v1/results/<fingerprint>"),
+    ("GET", "/api/v1/results/abc/pareto", "/api/v1/results/<fingerprint>/pareto"),
+    ("GET", "/api/v1/results/abc/verification", "/api/v1/results/<fingerprint>/verification"),
+    ("GET", "/api/v1/results/abc/other", "<unknown>"),
+    ("GET", "/api/v1/results/abc/pareto/x", "<unknown>"),
+    ("GET", "/api/v1/studies", "/api/v1/studies"),
+    ("GET", "/api/v1/studies/s", "/api/v1/studies/<name>"),
+    ("GET", "/api/v1/studies/s/x", "<unknown>"),
+    ("GET", "/api/v1/jobs", "/api/v1/jobs"),
+    ("GET", "/api/v1/jobs?state=queued", "/api/v1/jobs"),
+    ("GET", "/api/v1/jobs/j", "/api/v1/jobs/<id>"),
+    ("GET", "/api/v1/jobs/requeue", "/api/v1/jobs/<id>"),
+    ("GET", "/api/v1/jobs/j/requeue", "/api/v1/jobs/<id>/requeue"),
+    ("GET", "/api/v1/jobs/j/other", "<unknown>"),
+    ("GET", "/api/v1/unknown", "<unknown>"),
+    ("GET", "/api/v2/health", "<unknown>"),
+    ("GET", "/API/v1/health", "<unknown>"),
+    ("GET", "/other", "<unknown>"),
+    ("POST", "/api/v1/health", "/api/v1/health"),
+    ("POST", "/api/v1/jobs/j/other", "<unknown>"),
+    ("DELETE", "/api/v1/jobs", "/api/v1/jobs"),
+    ("PUT", "/api/v1/jobs/j", "/api/v1/jobs/<id>"),
+    ("PATCH", "/api/v1/results", "/api/v1/results"),
+]
+
+
+def _booked_routes(registry: MetricsRegistry) -> Dict[str, float]:
+    """``repro_http_requests_total`` summed per ``route`` label."""
+    booked: Dict[str, float] = {}
+    for name, labels, value in registry.iter_counters():
+        if name == "repro_http_requests_total":
+            route = dict(labels)["route"]
+            booked[route] = booked.get(route, 0.0) + value
+    return booked
+
+
+class TestRouteTable:
+    def test_every_route_answers_a_well_formed_request(self, smoke_result):
+        from repro.store.server import ROUTES
+
+        store = MemoryStore()
+        store.put(smoke_result)
+        store.record_study("route-study", [smoke_result.fingerprint])
+        job = store.enqueue(smoke_scenario(name="route-job"))
+        # A failed job: the requeue row resets it, then the delete row cancels it.
+        store.fail(store.claim("w").id, "w", "boom", retryable=False)
+        values = {
+            "<fingerprint>": smoke_result.fingerprint,
+            "<name>": "route-study",
+            "<id>": job.id,
+        }
+        document = smoke_scenario(name="posted").to_dict()
+        answered = []
+        with _serving(store) as server:
+            port = server.server_address[1]
+            for method, template, _ in ROUTES:
+                path = "/".join(values.get(part, part) for part in template.split("/"))
+                body = document if method == "POST" and "<" not in template else None
+                status, _ = _call(port, method, path, body)
+                answered.append((method, template, status))
+        assert [row for row in answered if row[2] not in (200, 201)] == [], answered
+        assert len(answered) == len(INDEX_ENDPOINTS) + 1
+
+    def test_index_and_metric_labels_are_pinned(self):
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with _serving(MemoryStore()) as server:
+                port = server.server_address[1]
+                booked = []
+                for count, (method, path, _) in enumerate(ROUTE_LABELS, start=1):
+                    before = _booked_routes(registry)
+                    status, body = _call(port, method, path)
+                    if path == "/":
+                        assert status == 200
+                        assert json.loads(body)["endpoints"] == INDEX_ENDPOINTS
+                    # The handler books its request after the response is sent.
+                    deadline = time.monotonic() + 10.0
+                    while sum(_booked_routes(registry).values()) < count:
+                        assert time.monotonic() < deadline, (method, path)
+                        time.sleep(0.002)
+                    after = _booked_routes(registry)
+                    (label,) = [r for r in after if after[r] != before.get(r, 0.0)]
+                    booked.append((method, path, label))
+        finally:
+            set_registry(previous)
+        assert booked == ROUTE_LABELS
+
+    @pytest.mark.parametrize(
+        "name, encoded", [("my study", "my%20study"), ("a/b", "a%2Fb")]
+    )
+    def test_path_parameters_are_percent_decoded(self, smoke_result, name, encoded):
+        store = MemoryStore()
+        store.put(smoke_result)
+        store.record_study(name, [smoke_result.fingerprint])
+        with _serving(store) as server:
+            status, body = _call(server.server_address[1], "GET", f"/api/v1/studies/{encoded}")
+        assert status == 200, body
+        payload = json.loads(body)
+        assert payload["study"] == name
+        assert payload["fingerprints"] == [smoke_result.fingerprint]
+        assert payload["results"][0]["name"] == smoke_result.name
 
 
 # ------------------------------------------------------------ serve shutdown
